@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
 from .qalg import EvalAtZeroError, LaurentPoly
-from .triangles import FamilyId, Params, rows_for
+from .triangles import FamilyId, Params, get_triangle
 from .formulas import whitney2_rational_gf
 from .upoly import upoly_coeff
 
@@ -74,7 +74,7 @@ def _csv_str(rows: list[list], header: list[str]) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     params = Params(args.m, args.r)
-    rows = rows_for(args.family, params, args.nmax, args.cache)
+    rows = get_triangle(args.family, params).rows(args.nmax)
     cells = [[_cell(v, args.q) for v in row] for row in rows]
     if args.format == "text":
         text = "\n".join(", ".join(_cell_str(v) for v in row) for row in cells) + "\n"
@@ -103,7 +103,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_dowling(args: argparse.Namespace) -> int:
     params = Params(args.m, args.r)
     family = {1: FamilyId.W2, 2: FamilyId.W2_FORM2, 3: FamilyId.W2_FORM3}[args.form]
-    rows = rows_for(family, params, args.nmax, args.cache)
+    rows = get_triangle(family, params).rows(args.nmax)
     values = []
     for row in rows:
         total = row[0]
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=_FORMATS, default="text")
         p.add_argument("--q", type=_q_spec, default=None, help="evaluate at q (integer or p/d)")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--cache", default=None, help="triangle row cache directory")
 
     p_table = sub.add_parser("table", help="print triangle rows 0..nmax")
     p_table.add_argument(

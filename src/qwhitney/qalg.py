@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Mapping
 
 
@@ -30,6 +32,11 @@ class EvalAtZeroError(ZeroDivisionError):
 
 # Term-pair count above which multiplication switches to the packed-integer path.
 _SMALL_MUL = 1024
+
+
+def _dense_enough(terms: Mapping[int, int], lo: int, hi: int) -> bool:
+    """Whether a coefficient list over [lo, hi] is dense enough to pay off."""
+    return hi - lo + 1 <= 8 * len(terms) + 64
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -217,8 +224,7 @@ class LaurentPoly:
             return LaurentPoly._raw(_dict_mul(ta, tb))
         va, da = min(ta), max(ta)
         vb, db = min(tb), max(tb)
-        # The packed path needs reasonably dense exponent windows to pay off.
-        if (da - va + 1) > 8 * len(ta) + 64 or (db - vb + 1) > 8 * len(tb) + 64:
+        if not (_dense_enough(ta, va, da) and _dense_enough(tb, vb, db)):
             return LaurentPoly._raw(_dict_mul(ta, tb))
         a = [0] * (da - va + 1)
         for e, c in ta.items():
@@ -231,6 +237,32 @@ class LaurentPoly:
         return LaurentPoly._raw({base + i: c for i, c in enumerate(prod) if c})
 
     __rmul__ = __mul__
+
+    def mul_bracket(self, b: int) -> "LaurentPoly":
+        """The product [b] * self, as a running window sum in O(span + |b|).
+
+        For b > 0 the coefficient at e is the sum of the b coefficients of
+        self at e-b+1..e; a negative b uses [-c] = -q^-c [c].
+        """
+        ta = self._terms
+        if not ta or not b:
+            return ZERO
+        va, da = min(ta), max(ta)
+        if not _dense_enough(ta, va, da):
+            return q_bracket(b) * self
+        width = abs(b)
+        # The coefficients of self, padded with width - 1 trailing zeros.
+        a = [0] * (da - va + width)
+        for e, c in ta.items():
+            a[e - va] = c
+        # out[i] = S[i+1] - S[i+1-width], with S the prefix sums of a and
+        # S[j] = 0 for j <= 0.
+        prefix = list(accumulate(a, initial=0))
+        window = map(sub, prefix[1:], [0] * (width - 1) + prefix)
+        if b > 0:
+            return LaurentPoly._raw({va + i: c for i, c in enumerate(window) if c})
+        base = va + b
+        return LaurentPoly._raw({base + i: -c for i, c in enumerate(window) if c})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):

@@ -1,29 +1,24 @@
-"""Memoized number-triangle families driven by two-term recurrences.
+"""Memoized number-triangle families driven by one two-term recurrence.
 
 Seven related families are produced over a common parameter pair (m, r):
 three forms of the second-kind triangle plus a sign-variant of its
 recurrence, two first-kind triangles (falling and rising basis), and the
-Lah-type triangle.  Entries are exact Laurent polynomials; each triangle
-is filled row-major on demand and entries are never recomputed.
+Lah-type triangle.  They differ only in their row of the weight table
+`_WEIGHTS`.  Entries are exact Laurent polynomials; each triangle is
+filled row-major on demand and entries are never recomputed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from typing import Callable
 
-from .qalg import LaurentPoly, ONE, ZERO, q_bracket, q_power
-from .upoly import rising_factorial_u
+from .qalg import LaurentPoly, ONE, ZERO, q_power
 
 
 class NonUnitDiagonalError(ArithmeticError):
     """Triangular inversion requires every diagonal entry to be +-q^e."""
-
-
-class CacheInvalidError(ValueError):
-    """An on-disk triangle document failed validation and must not be trusted."""
 
 
 @dataclass(frozen=True)
@@ -86,44 +81,36 @@ class Triangle:
     def _next_row(self, n: int) -> list[LaurentPoly]:
         m, r = self.params.m, self.params.r
         prev = self._rows[n - 1]
+        weights = _WEIGHTS[self.family]
+        row = []
+        for k in range(n + 1):
+            a, b = weights(m, r, n, k)
+            entry = q_power(a) * prev[k - 1] if k else ZERO
+            if k < n:
+                entry = entry + prev[k].mul_bracket(b)
+            row.append(entry)
+        return row
 
-        def p(k: int) -> LaurentPoly:
-            return prev[k] if 0 <= k <= n - 1 else ZERO
 
-        fam = self.family
-        if fam is FamilyId.W2:
-            return [
-                q_power(m * (k - 1) + r) * p(k - 1) + q_bracket(m * k + r) * p(k)
-                for k in range(n + 1)
-            ]
-        if fam is FamilyId.W2_VERBATIM:
-            return [
-                q_power(m * (k - 1) - r) * p(k - 1) + q_bracket(m * k - r) * p(k)
-                for k in range(n + 1)
-            ]
-        if fam is FamilyId.W2_FORM2:
-            # Rescaling the canonical recurrence by q^(-kr - m*binom(k,2))
-            # cancels the diagonal weight entirely.
-            return [p(k - 1) + q_bracket(m * k + r) * p(k) for k in range(n + 1)]
-        if fam is FamilyId.W2_FORM3:
-            return [
-                q_power(r) * p(k - 1) + q_bracket(m * k + r) * p(k)
-                for k in range(n + 1)
-            ]
-        if fam is FamilyId.W1_FALLING:
-            scale = q_power(-(r + (n - 1) * m))
-            fall = q_bracket(r + (n - 1) * m)
-            return [scale * (p(k - 1) - fall * p(k)) for k in range(n + 1)]
-        if fam is FamilyId.W1_RISING:
-            rising = rising_factorial_u(m, r, n)
-            return [rising.coeff(k) for k in range(n + 1)]
-        if fam is FamilyId.LAH:
-            return [
-                q_power(2 * r + m * (k - 1) + m * (n - 1)) * p(k - 1)
-                + q_bracket(2 * r + k * m + (n - 1) * m) * p(k)
-                for k in range(n + 1)
-            ]
-        raise AssertionError(f"unhandled family {fam}")
+# Every family obeys T[n,k] = q^a T[n-1,k-1] + [b] T[n-1,k] from the seed
+# T[0,0] = 1, with the weights (a, b) = _WEIGHTS[family](m, r, n, k).
+_WEIGHTS: dict[FamilyId, Callable[[int, int, int, int], tuple[int, int]]] = {
+    FamilyId.W2: lambda m, r, n, k: (m * (k - 1) + r, m * k + r),
+    FamilyId.W2_VERBATIM: lambda m, r, n, k: (m * (k - 1) - r, m * k - r),
+    # Rescaling the canonical recurrence by q^(-kr - m*binom(k,2)) cancels
+    # the diagonal weight entirely.
+    FamilyId.W2_FORM2: lambda m, r, n, k: (0, m * k + r),
+    FamilyId.W2_FORM3: lambda m, r, n, k: (r, m * k + r),
+    # Multiplying the falling product by [t-r-(n-1)m] = q^-c ([t] - [c]),
+    # c = r + (n-1)m, and using -q^-c [c] = [-c].
+    FamilyId.W1_FALLING: lambda m, r, n, k: (-(r + (n - 1) * m), -(r + (n - 1) * m)),
+    # Multiplying the rising product by [t+r+(n-1)m] = [c] + q^c [t].
+    FamilyId.W1_RISING: lambda m, r, n, k: (r + (n - 1) * m, r + (n - 1) * m),
+    FamilyId.LAH: lambda m, r, n, k: (
+        2 * r + m * (k - 1) + m * (n - 1),
+        2 * r + k * m + (n - 1) * m,
+    ),
+}
 
 
 _TRIANGLES: dict[tuple[FamilyId, int, int], Triangle] = {}
@@ -257,75 +244,3 @@ def invert_unit_triangular(family: FamilyId, params: Params, nmax: int) -> Inver
         inv = _INVERSES[key] = InverseMatrix(get_triangle(family, params))
     inv._ensure(nmax)
     return inv
-
-
-# -- optional on-disk row cache ------------------------------------------------
-
-
-def cache_filename(family: FamilyId, params: Params) -> str:
-    return f"{family.value}_m{params.m}_r{params.r}.json"
-
-
-def save_rows(family: FamilyId, params: Params, nmax: int, directory: str | Path) -> Path:
-    """Write rows 0..nmax of a triangle as one JSON document; returns the path."""
-    tri = get_triangle(family, params)
-    doc = {
-        "family": family.value,
-        "m": params.m,
-        "r": params.r,
-        "rows": [[c.to_json_dict() for c in row] for row in tri.rows(nmax)],
-    }
-    path = Path(directory) / cache_filename(family, params)
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
-
-
-def load_rows(family: FamilyId, params: Params, directory: str | Path) -> list[list[LaurentPoly]]:
-    """Load and validate cached rows; raises CacheInvalidError on any defect."""
-    path = Path(directory) / cache_filename(family, params)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheInvalidError(f"unreadable cache document {path}: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"family", "m", "r", "rows"}:
-        raise CacheInvalidError(f"malformed cache document {path}")
-    if doc["family"] != family.value or doc["m"] != params.m or doc["r"] != params.r:
-        raise CacheInvalidError(f"cache document {path} describes a different triangle")
-    rows_json = doc["rows"]
-    if not isinstance(rows_json, list) or not rows_json:
-        raise CacheInvalidError(f"cache document {path} has no rows")
-    rows: list[list[LaurentPoly]] = []
-    for n, row in enumerate(rows_json):
-        if not isinstance(row, list) or len(row) != n + 1:
-            raise CacheInvalidError(f"row {n} of {path} has the wrong shape")
-        try:
-            rows.append([LaurentPoly.from_json_dict(cell) for cell in row])
-        except (ValueError, TypeError) as exc:
-            raise CacheInvalidError(f"row {n} of {path} is not canonical: {exc}") from exc
-    if rows[0][0] != ONE:
-        raise CacheInvalidError(f"corner entry of {path} is not 1")
-    return rows
-
-
-def rows_for(
-    family: FamilyId,
-    params: Params,
-    nmax: int,
-    cache_dir: str | Path | None = None,
-) -> list[list[LaurentPoly]]:
-    """Rows 0..nmax, via the validated cache when available, else recomputed.
-
-    A stale, short or invalid cache file is ignored and overwritten; loaded
-    rows are never installed into the in-process registry.
-    """
-    if cache_dir is not None:
-        try:
-            cached = load_rows(family, params, cache_dir)
-            if len(cached) >= nmax + 1:
-                return cached[: nmax + 1]
-        except CacheInvalidError:
-            pass
-    rows = get_triangle(family, params).rows(nmax)
-    if cache_dir is not None:
-        save_rows(family, params, nmax, cache_dir)
-    return rows

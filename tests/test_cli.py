@@ -87,23 +87,10 @@ class TestTable:
     def test_bad_m(self):
         assert run_cli(["table", "--family", "w2", "--m", "0", "--r", "0", "--nmax", "1"]) == 2
 
-    def test_cache_round_trip(self, tmp_path, capsys):
+    def test_cache_option_removed(self, tmp_path):
         args = ["table", "--family", "lah", "--m", "1", "--r", "1", "--nmax", "3", "--cache", str(tmp_path)]
-        assert run_cli(args) == 0
-        first = capsys.readouterr().out
-        assert (tmp_path / "lah_m1_r1.json").exists()
-        assert run_cli(args) == 0
-        assert capsys.readouterr().out == first
-
-    def test_corrupt_cache_recomputed(self, tmp_path, capsys):
-        cache_file = tmp_path / "lah_m1_r1.json"
-        args = ["table", "--family", "lah", "--m", "1", "--r", "1", "--nmax", "3", "--cache", str(tmp_path)]
-        assert run_cli(args) == 0
-        good = capsys.readouterr().out
-        cache_file.write_text("{broken")
-        assert run_cli(args) == 0
-        assert capsys.readouterr().out == good
-        json.loads(cache_file.read_text())
+        assert run_cli(args) == 2
+        assert not any(tmp_path.iterdir())
 
 
 class TestDowling:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwhitney.qalg import (
     EvalAtZeroError,
@@ -39,6 +39,21 @@ def subs_q_power(p: LaurentPoly, s: int) -> LaurentPoly:
 coeffs = st.integers(min_value=-999, max_value=999)
 exponents = st.integers(min_value=-30, max_value=30)
 polys = st.dictionaries(exponents, coeffs, max_size=10).map(LaurentPoly)
+# Consecutive exponents from a random offset: the running-sum path.
+dense_polys = st.builds(
+    lambda lo, cs: LaurentPoly({lo + i: c for i, c in enumerate(cs)}),
+    st.integers(min_value=-200, max_value=200),
+    st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=120),
+)
+# A few terms spread far apart: the fallback through q_bracket(b) * p.
+sparse_polys = st.dictionaries(
+    st.integers(min_value=-(10**6), max_value=10**6), coeffs, max_size=8
+).map(LaurentPoly)
+# Few terms over a span of thousands: wide, but small enough for a dense oracle.
+wide_polys = st.dictionaries(
+    st.integers(min_value=-1500, max_value=1500), coeffs, min_size=2, max_size=8
+).map(LaurentPoly)
+brackets = st.integers(min_value=-300, max_value=300)
 
 
 class TestBracket:
@@ -104,6 +119,37 @@ class TestMul:
         assert q_power(3) ** -2 == q_power(-6)
         with pytest.raises(NonDivisibleError):
             q_bracket(2) ** -1
+
+
+class TestMulBracket:
+    @given(st.one_of(dense_polys, sparse_polys, polys), brackets)
+    @example(LaurentPoly({0: 1, 1: -2}), 0)
+    @example(ZERO, 5)
+    def test_matches_bracket_product(self, p, b):
+        assert p.mul_bracket(b) == q_bracket(b) * p
+
+    def test_examples(self):
+        assert ONE.mul_bracket(3) == q_bracket(3)
+        assert Q.mul_bracket(-2) == LaurentPoly({-1: -1, 0: -1})
+        assert q_bracket(2).mul_bracket(2) == LaurentPoly({0: 1, 1: 2, 2: 1})
+
+    def test_wide_span_takes_the_sparse_fallback(self, monkeypatch):
+        import qwhitney.qalg as qalg
+
+        p = q_power(10**9) + ONE
+        # Guard: the dense path would allocate a list of 10^9 slots.
+        assert not qalg._dense_enough(p.terms(), 0, 10**9)
+        seen = []
+
+        def spy(n):
+            seen.append(n)
+            return q_bracket(n)
+
+        monkeypatch.setattr(qalg, "q_bracket", spy)
+        got = p.mul_bracket(5)
+        assert seen == [5]
+        assert got == LaurentPoly({e: 1 for e in [*range(5), *range(10**9, 10**9 + 5)]})
+        assert len(got.terms()) == 10
 
 
 class TestExactDiv:
@@ -252,3 +298,46 @@ class TestStructure:
         p = LaurentPoly({-2: 1, 3: 4})
         assert p.degree() == 3 and p.valuation() == -2
         assert ZERO.degree() is None and ZERO.valuation() is None
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+# A Laurent polynomial p is carried into sympy as the pair (P, s) with
+# P = q^s p an ordinary polynomial over ZZ.
+def to_sympy(sympy, p: LaurentPoly, shift: int):
+    terms = {(e + shift,): c for e, c in p.terms().items()}
+    return sympy.Poly.from_dict(terms or {(0,): 0}, sympy.Symbol("q"), domain="ZZ")
+
+
+def from_sympy(poly, shift: int) -> LaurentPoly:
+    return LaurentPoly({e - shift: int(c) for (e,), c in poly.terms() if c})
+
+
+def shift_of(*ps: LaurentPoly) -> int:
+    return -min([p.valuation() for p in ps if p] + [0])
+
+
+class TestSympyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.one_of(dense_polys, wide_polys), b=st.one_of(dense_polys, wide_polys, polys))
+    def test_mul_add_exact_div(self, sympy, a, b):
+        sa, sb = shift_of(a), shift_of(b)
+        pa, pb = to_sympy(sympy, a, sa), to_sympy(sympy, b, sb)
+        assert a * b == from_sympy(pa * pb, sa + sb)
+        s = shift_of(a, b)
+        assert a + b == from_sympy(to_sympy(sympy, a, s) + to_sympy(sympy, b, s), s)
+        if b:
+            assert (a * b).exact_div(b) == from_sympy((pa * pb).exquo(pb), sa) == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.one_of(dense_polys, wide_polys), b=brackets)
+    def test_mul_bracket(self, sympy, p, b):
+        # [b] is fixed by (1 - q) [b] = 1 - q^b; check that identity in sympy.
+        got = p.mul_bracket(b)
+        s, t = shift_of(got, p), shift_of(q_power(b))
+        left = to_sympy(sympy, ONE - Q, t) * to_sympy(sympy, got, s)
+        right = to_sympy(sympy, ONE - q_power(b), t) * to_sympy(sympy, p, s)
+        assert left == right

@@ -1,12 +1,13 @@
 """Tests for the recurrence-driven triangle families and their inverses."""
 
+import hashlib
 import math
 
 import pytest
 
+from qwhitney.cli import main
 from qwhitney.qalg import LaurentPoly, ONE, Q, ZERO, lp_eval, q_bracket, q_power
 from qwhitney.triangles import (
-    CacheInvalidError,
     FamilyId,
     InverseMatrix,
     NonUnitDiagonalError,
@@ -17,9 +18,6 @@ from qwhitney.triangles import (
     invert_unit_triangular,
     lah,
     lah_row_sum,
-    load_rows,
-    rows_for,
-    save_rows,
     whitney1_falling,
     whitney1_rising,
     whitney2,
@@ -275,62 +273,37 @@ class TestInversion:
         assert inv.value(-1, 0) == ZERO
 
 
-class TestRowCache:
-    def test_save_load_round_trip(self, tmp_path):
-        save_rows(FamilyId.LAH, P11, 5, tmp_path)
-        rows = load_rows(FamilyId.LAH, P11, tmp_path)
-        assert len(rows) == 6
-        for n in range(6):
-            for k in range(n + 1):
-                assert rows[n][k] == lah(P11, n, k)
+# sha256 of `qwhitney table --family F --m M --r R --nmax 12 --format json`:
+# every family's output bytes are pinned, so a change to the shared fill
+# cannot silently alter any of them.
+TABLE_DIGESTS = {
+    ("w2", 1, 0): "47e0f8103269aa444d8c80b99a76c3fa889ab400a478586554c974ba2932b322",
+    ("w2", 2, -3): "ceaf18f8f7c3eb1bba753b1487ed1dac516a515aeb7c59c17d9d71ba1ee2b8e1",
+    ("w2", 3, 3): "d019efec61cf3a5a9672f59f686bd0b992c0d6c9320a3b99fc62ec7ac4c6c9e8",
+    ("w2-verbatim", 1, 0): "88af6d3b9ac319890fa9b01e28aaab3c351531518136d780c5822cf6c1ee158a",
+    ("w2-verbatim", 2, -3): "f73fe32e6f01d44b10a29eb2ed8914d6805e0a9da9bf803157b6d018e36818b3",
+    ("w2-verbatim", 3, 3): "f5a669d6c3a811f25222e6f984adb5701594b6c79580e9fe2c4bbb4f8006b4d0",
+    ("w2-star", 1, 0): "396fb0f08aab2e1647740c2727b73256f6a806a1b7efa8d1aa9eaa6ace2c93f1",
+    ("w2-star", 2, -3): "57f1ce821bbfbcf315cc6f331af5c901fc77e1f6e3b4ae0054abf83f157f88ae",
+    ("w2-star", 3, 3): "61132568a904237616326728ac5295496324da9ab38ae1a2563faab4122f305d",
+    ("w2-tilde", 1, 0): "747f7caea99e52245c3c727659ffb701ecc158e919ca6ddad276807fb8612653",
+    ("w2-tilde", 2, -3): "b5d3fa9db14d3dd8870601d4cf2887506c29a79254df957179f066ba512bb6b8",
+    ("w2-tilde", 3, 3): "f8bf77877ce6c113382d1feb7b2f92d8096dd1b45576638d9849067381c8d637",
+    ("w1", 1, 0): "b895aeb09e683768192d0572e9d09c3db6e058d55628357415fb2daab3c11eb6",
+    ("w1", 2, -3): "b9facf732c99363ebc314a393423ddf121148ea3f12c6eab8efce38021e0c252",
+    ("w1", 3, 3): "1614603fd9e12c238215eb046ff9c95d40d679c48a51113cedd08436ddcd2854",
+    ("w1-rising", 1, 0): "19000f103132c4620f39a705149ffc3dd5781515b017d761c3665e4a63115ac0",
+    ("w1-rising", 2, -3): "95ecebab93498a6134e8a810227857df640413f2a152f8539f3a3dfcdaac28e5",
+    ("w1-rising", 3, 3): "350cf9e5818e777ae3299afbd8a9e836f8a1e73ca880f6f6ab3047a802b282c6",
+    ("lah", 1, 0): "03c632bda060bbc0d2f95b27c663151e24307c3cca12814fa126c772f6551666",
+    ("lah", 2, -3): "71d9d43db09836ae5a2d1de225b141890074a6317f0dccb48896cf715c1b247b",
+    ("lah", 3, 3): "148116b6534441869e7afdc01ace473848b86203cdb450ecd3272e4fbb5a0940",
+}
 
-    def test_rows_for_writes_then_reads(self, tmp_path):
-        first = rows_for(FamilyId.W2, P11, 4, tmp_path)
-        assert (tmp_path / "w2_m1_r1.json").exists()
-        second = rows_for(FamilyId.W2, P11, 4, tmp_path)
-        assert first == second
 
-    def test_short_cache_recomputed(self, tmp_path):
-        rows_for(FamilyId.W2, P11, 2, tmp_path)
-        rows = rows_for(FamilyId.W2, P11, 6, tmp_path)
-        assert len(rows) == 7
-        assert len(load_rows(FamilyId.W2, P11, tmp_path)) == 7
-
-    def test_corrupt_cache_rejected_and_recomputed(self, tmp_path):
-        path = save_rows(FamilyId.W2, P10, 3, tmp_path)
-        path.write_text("{not json")
-        with pytest.raises(CacheInvalidError):
-            load_rows(FamilyId.W2, P10, tmp_path)
-        rows = rows_for(FamilyId.W2, P10, 3, tmp_path)
-        assert rows[3][2] == whitney2(P10, 3, 2)
-        assert len(load_rows(FamilyId.W2, P10, tmp_path)) == 4
-
-    def test_bad_shape_rejected(self, tmp_path):
-        import json
-
-        path = save_rows(FamilyId.W2, P10, 2, tmp_path)
-        doc = json.loads(path.read_text())
-        doc["rows"][1] = doc["rows"][1][:1]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheInvalidError):
-            load_rows(FamilyId.W2, P10, tmp_path)
-
-    def test_bad_corner_rejected(self, tmp_path):
-        import json
-
-        path = save_rows(FamilyId.W2, P10, 2, tmp_path)
-        doc = json.loads(path.read_text())
-        doc["rows"][0][0] = {"terms": [{"e": 0, "c": "2"}]}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheInvalidError):
-            load_rows(FamilyId.W2, P10, tmp_path)
-
-    def test_mismatched_params_rejected(self, tmp_path):
-        import json
-
-        path = save_rows(FamilyId.W2, P10, 2, tmp_path)
-        doc = json.loads(path.read_text())
-        doc["r"] = 3
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheInvalidError):
-            load_rows(FamilyId.W2, P10, tmp_path)
+@pytest.mark.parametrize("family, m, r", sorted(TABLE_DIGESTS))
+def test_table_bytes_unchanged(family, m, r, capsys):
+    args = ["table", "--family", family, "--m", str(m), "--r", str(r), "--nmax", "12", "--format", "json"]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[family, m, r]
