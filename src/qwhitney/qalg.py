@@ -1,9 +1,16 @@
-"""Exact sparse Laurent-polynomial arithmetic in one variable q.
+"""Exact dense Laurent-polynomial arithmetic in one variable q.
 
 Coefficients are Python integers (arbitrary precision), exponents are
-integers of either sign.  Values are immutable and hashable; every
-operation returns a new polynomial in canonical form (no zero
-coefficients stored), so equality is structural equality of term maps.
+integers of either sign.  A value is stored as its valuation v and the
+tuple (c_v, c_v+1, ..., c_d) of its coefficients up to its degree d,
+trimmed so that the first and last entries are nonzero; zero is the
+empty tuple.  Values are immutable and hashable, and every operation
+returns the canonical form, so equality is equality of the pairs
+(v, coefficients).
+
+Dense storage needs one slot per exponent between valuation and degree,
+so no value may span more than _MAX_SPAN exponents: building one raises
+SpanTooWideError before anything of that size is allocated.
 
 The q-bracket [n] = (1 - q^n)/(1 - q) is defined for every integer n:
 
@@ -15,10 +22,13 @@ The q-bracket [n] = (1 - q^n)/(1 - q) is defined for every integer n:
 
 from __future__ import annotations
 
+import re
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from operator import sub
+from operator import add, neg, sub
 from typing import Iterable, Mapping
 
 
@@ -30,142 +40,161 @@ class EvalAtZeroError(ZeroDivisionError):
     """A polynomial with negative exponents was evaluated at q = 0."""
 
 
-# Term-pair count above which multiplication switches to the packed-integer path.
-_SMALL_MUL = 1024
+class SpanTooWideError(ValueError):
+    """A value would span more exponents than dense storage allows."""
 
 
-def _dense_enough(terms: Mapping[int, int], lo: int, hi: int) -> bool:
-    """Whether a coefficient list over [lo, hi] is dense enough to pay off."""
-    return hi - lo + 1 <= 8 * len(terms) + 64
+# Most exponents, from valuation to degree inclusive, that one value may span.
+_MAX_SPAN = 1 << 24
+
+# The bias 2^63 of one 64-bit slot, little-endian.
+_WORD_BIAS = (1 << 63).to_bytes(8, "little")
+
+_DECIMAL = re.compile(r"-?[1-9][0-9]*")
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    buf = bytearray(len(coeffs) * width)
-    for i, c in enumerate(coeffs):
-        if c:
-            buf[i * width : (i + 1) * width] = c.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
+def _check_span(span: int) -> None:
+    if span > _MAX_SPAN:
+        raise SpanTooWideError(f"exponent span {span} exceeds the limit of {_MAX_SPAN}")
 
 
-def _kron_mul(a: list[int], b: list[int]) -> list[int]:
-    """Convolve two dense nonnegative coefficient lists via one big-int product.
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    Slot width is sized so no slot of the product can overflow into its
-    neighbour, which makes the unpacked slots exactly the convolution.
+
+def _trim(v: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The canonical (valuation, coefficients) of coeffs placed from exponent v."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    if not hi:
+        return 0, ()
+    return v + lo, tuple(coeffs[lo:hi])
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The signed convolution of two coefficient tuples by one big-integer product.
+
+    Slots are W bits, wide enough that every coefficient of the result lies
+    in [-2^(W-1), 2^(W-1)).  Each coefficient c is packed as c + 2^(W-1) in
+    its own slot; removing that bias from the packed integer leaves the
+    operand's value at q = 2^W.  The product plus the result's bias then
+    holds every result coefficient plus 2^(W-1) in its own slot, with no
+    carry between slots.
     """
     n_out = len(a) + len(b) - 1
-    width_bits = max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length() + 1
-    width = (width_bits + 7) // 8
-    prod = _pack(a, width) * _pack(b, width)
-    data = prod.to_bytes((n_out + 1) * width, "little")
-    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(n_out)]
-
-
-def _split_signs(coeffs: list[int]) -> tuple[list[int] | None, list[int] | None]:
-    pos = [c if c > 0 else 0 for c in coeffs] if any(c > 0 for c in coeffs) else None
-    neg = [-c if c < 0 else 0 for c in coeffs] if any(c < 0 for c in coeffs) else None
-    return pos, neg
-
-
-def _dense_mul(a: list[int], b: list[int]) -> list[int]:
-    """Signed dense convolution: split by sign, multiply nonnegative parts."""
-    apos, aneg = _split_signs(a)
-    bpos, bneg = _split_signs(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for left, right, sign in (
-        (apos, bpos, 1),
-        (aneg, bneg, 1),
-        (apos, bneg, -1),
-        (aneg, bpos, -1),
-    ):
-        if left is not None and right is not None:
-            part = _kron_mul(left, right)
-            for i, c in enumerate(part):
-                if c:
-                    out[i] += sign * c
-    return out
-
-
-def _dict_mul(ta: Mapping[int, int], tb: Mapping[int, int]) -> dict[int, int]:
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    out: dict[int, int] = {}
-    get = out.get
-    for ea, ca in ta.items():
-        for eb, cb in tb.items():
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+    bits = (
+        max(max(a), -min(a)).bit_length()
+        + max(max(b), -min(b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    if bits <= 64:
+        # One machine word per slot: array packs the words in C.  A word
+        # holds c in two's complement, and flipping its top bit (the XOR
+        # with the bias) turns that into c + 2^63, and back.
+        bias = int.from_bytes(_WORD_BIAS * n_out, "little")
+        bias_b = bias >> (64 * (len(a) - 1))
+        bias_a = bias >> (64 * (len(b) - 1))
+        pa = (int.from_bytes(array("q", a), sys.byteorder) ^ bias_a) - bias_a
+        pb = (int.from_bytes(array("q", b), sys.byteorder) ^ bias_b) - bias_b
+        data = ((pa * pb + bias) ^ bias).to_bytes(8 * n_out, sys.byteorder)
+        return tuple(memoryview(data).cast("q"))
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+    packed = []
+    for coeffs in (a, b):
+        data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        packed.append(int.from_bytes(data, "little") - int.from_bytes(slot * len(coeffs), "little"))
+    prod = packed[0] * packed[1] + int.from_bytes(slot * n_out, "little")
+    data = prod.to_bytes(n_out * width, "little")
+    return tuple(
+        [int.from_bytes(data[i : i + width], "little") - half for i in range(0, n_out * width, width)]
+    )
 
 
 class LaurentPoly:
     """An immutable Laurent polynomial in q with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_v", "_c", "_hash")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         clean: dict[int, int] = {}
         for e, c in items:
-            if not isinstance(e, int) or not isinstance(c, int):
+            if not _is_int(e) or not _is_int(c):
                 raise TypeError("exponents and coefficients must be integers")
             if c:
                 clean[e] = clean.get(e, 0) + c
-        self._terms = {e: c for e, c in clean.items() if c}
+        clean = {e: c for e, c in clean.items() if c}
+        if not clean:
+            self._v, self._c = 0, ()
+        else:
+            lo = min(clean)
+            span = max(clean) - lo + 1
+            _check_span(span)
+            coeffs = [0] * span
+            for e, c in clean.items():
+                coeffs[e - lo] = c
+            self._v, self._c = lo, tuple(coeffs)
         self._hash: int | None = None
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> "LaurentPoly":
-        # Trusted constructor: terms must already be canonical (no zeros).
+    def _raw(cls, v: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
+        # Trusted constructor: (v, coeffs) must already be canonical.
         p = cls.__new__(cls)
-        p._terms = terms
+        p._v = v
+        p._c = coeffs
         p._hash = None
         return p
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls._raw({0: c}) if c else cls._raw({})
+        return cls._raw(0, (c,)) if c else ZERO
 
     # -- inspection -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     def terms(self) -> dict[int, int]:
-        """A copy of the exponent -> coefficient map."""
-        return dict(self._terms)
+        """The exponent -> coefficient map of the nonzero terms."""
+        v = self._v
+        return {v + i: c for i, c in enumerate(self._c) if c}
 
     def sorted_terms(self) -> list[tuple[int, int]]:
-        """Term list in ascending exponent order."""
-        return sorted(self._terms.items())
+        """Nonzero terms in ascending exponent order."""
+        v = self._v
+        return [(v + i, c) for i, c in enumerate(self._c) if c]
 
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
+        return self._v + len(self._c) - 1 if self._c else None
 
     def valuation(self) -> int | None:
         """Smallest exponent, or None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        return self._v if self._c else None
 
     def coeff(self, e: int) -> int:
-        return self._terms.get(e, 0)
+        i = e - self._v
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def is_unit_monomial(self) -> bool:
         """True when the value is exactly +-q^e for some integer e."""
-        if len(self._terms) != 1:
-            return False
-        c = next(iter(self._terms.values()))
-        return c in (1, -1)
+        return len(self._c) == 1 and self._c[0] in (1, -1)
 
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a +-q^e monomial; raises NonDivisibleError otherwise."""
         if not self.is_unit_monomial():
             raise NonDivisibleError(f"not a unit monomial: {self}")
-        (e, c), = self._terms.items()
-        return LaurentPoly._raw({-e: c})
+        return LaurentPoly._raw(-self._v, self._c)
 
     # -- ring operations --------------------------------------------------
 
@@ -174,26 +203,39 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly.const(other)
+            # int() turns a bool operand into a plain integer coefficient.
+            return LaurentPoly.const(int(other))
         return None
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in o._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
+        if not o._c:
+            return self
+        if not self._c:
+            return o
+        va, a, vb, b = self._v, self._c, o._v, o._c
+        if va > vb:
+            va, a, vb, b = vb, b, va, a
+        off = vb - va
+        la, lb = len(a), len(b)
+        _check_span(max(la, off + lb))
+        if off >= la:
+            return LaurentPoly._raw(va, a + (0,) * (off - la) + b)
+        end = off + lb
+        if end <= la:
+            coeffs = a[:off] + tuple(map(add, a[off:end], b)) + a[end:]
+        else:
+            coeffs = a[:off] + tuple(map(add, a[off:], b)) + b[la - off :]
+        if coeffs[0] and coeffs[-1]:
+            return LaurentPoly._raw(va, coeffs)
+        return LaurentPoly._raw(*_trim(va, coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._raw(self._v, tuple(map(neg, self._c)))
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         o = self._coerce(other)
@@ -211,30 +253,19 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ta, tb = self._terms, o._terms
-        if not ta or not tb:
+        a, b = self._c, o._c
+        if not a or not b:
             return ZERO
-        if len(ta) == 1:
-            (e, c), = ta.items()
-            return LaurentPoly._raw({e + eb: c * cb for eb, cb in tb.items()})
-        if len(tb) == 1:
-            (e, c), = tb.items()
-            return LaurentPoly._raw({e + ea: c * ca for ea, ca in ta.items()})
-        if len(ta) * len(tb) <= _SMALL_MUL:
-            return LaurentPoly._raw(_dict_mul(ta, tb))
-        va, da = min(ta), max(ta)
-        vb, db = min(tb), max(tb)
-        if not (_dense_enough(ta, va, da) and _dense_enough(tb, vb, db)):
-            return LaurentPoly._raw(_dict_mul(ta, tb))
-        a = [0] * (da - va + 1)
-        for e, c in ta.items():
-            a[e - va] = c
-        b = [0] * (db - vb + 1)
-        for e, c in tb.items():
-            b[e - vb] = c
-        prod = _dense_mul(a, b)
-        base = va + vb
-        return LaurentPoly._raw({base + i: c for i, c in enumerate(prod) if c})
+        v = self._v + o._v
+        if len(a) == 1 or len(b) == 1:
+            if len(a) == 1:
+                a, b = b, a
+            c = b[0]
+            if c == 1:
+                return LaurentPoly._raw(v, a)
+            return LaurentPoly._raw(v, tuple([c * x for x in a]))
+        _check_span(len(a) + len(b) - 1)
+        return LaurentPoly._raw(v, _kronecker(a, b))
 
     __rmul__ = __mul__
 
@@ -244,25 +275,19 @@ class LaurentPoly:
         For b > 0 the coefficient at e is the sum of the b coefficients of
         self at e-b+1..e; a negative b uses [-c] = -q^-c [c].
         """
-        ta = self._terms
-        if not ta or not b:
+        a = self._c
+        if not a or not b:
             return ZERO
-        va, da = min(ta), max(ta)
-        if not _dense_enough(ta, va, da):
-            return q_bracket(b) * self
         width = abs(b)
-        # The coefficients of self, padded with width - 1 trailing zeros.
-        a = [0] * (da - va + width)
-        for e, c in ta.items():
-            a[e - va] = c
-        # out[i] = S[i+1] - S[i+1-width], with S the prefix sums of a and
-        # S[j] = 0 for j <= 0.
+        _check_span(len(a) + width - 1)
+        # out[i] = S[min(i+1, n)] - S[max(i+1-width, 0)], with S the prefix
+        # sums of a, S[0] = 0 and n = len(a).
         prefix = list(accumulate(a, initial=0))
-        window = map(sub, prefix[1:], [0] * (width - 1) + prefix)
+        upper = prefix[1:] + [prefix[-1]] * (width - 1)
+        lower = [0] * (width - 1) + prefix[:-1]
         if b > 0:
-            return LaurentPoly._raw({va + i: c for i, c in enumerate(window) if c})
-        base = va + b
-        return LaurentPoly._raw({base + i: -c for i, c in enumerate(window) if c})
+            return LaurentPoly._raw(self._v, tuple(map(sub, upper, lower)))
+        return LaurentPoly._raw(self._v + b, tuple(map(sub, lower, upper)))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -284,35 +309,30 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-        ta, tb = self._terms, other._terms
-        va, da = min(ta), max(ta)
-        vb, db = min(tb), max(tb)
-        if (da - va) < (db - vb):
+        divisor = other._c
+        if len(self._c) < len(divisor):
             raise NonDivisibleError("dividend support is narrower than divisor support")
-        rem = [0] * (da - va + 1)
-        for e, c in ta.items():
-            rem[e - va] = c
-        divisor = [0] * (db - vb + 1)
-        for e, c in tb.items():
-            divisor[e - vb] = c
+        rem = list(self._c)
         lead = divisor[-1]
-        qlen = len(rem) - len(divisor) + 1
+        top = len(divisor) - 1
+        # Only the nonzero divisor terms below the leading one touch the remainder.
+        lower = [(j, c) for j, c in enumerate(divisor[:-1]) if c]
+        qlen = len(rem) - top
         quot = [0] * qlen
         for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(divisor) - 1]
+            c = rem[i + top]
             if not c:
                 continue
             if c % lead:
                 raise NonDivisibleError("leading coefficient does not divide exactly")
             qc = c // lead
             quot[i] = qc
-            for j, bv in enumerate(divisor):
-                if bv:
-                    rem[i + j] -= qc * bv
-        if any(rem):
+            for j, dc in lower:
+                rem[i + j] -= qc * dc
+        if any(rem[:top]):
             raise NonDivisibleError("nonzero remainder")
-        base = va - vb
-        return LaurentPoly._raw({base + i: c for i, c in enumerate(quot) if c})
+        # An exact quotient has nonzero ends: a[0] = q[0] d[0] and a[-1] = q[-1] d[-1].
+        return LaurentPoly._raw(self._v - other._v, tuple(quot))
 
     # -- evaluation -------------------------------------------------------
 
@@ -320,14 +340,15 @@ class LaurentPoly:
         """Exact value at q = at; at = 0 requires all exponents nonnegative."""
         x = Fraction(at)
         if x == 0:
-            if self._terms and min(self._terms) < 0:
+            if self._c and self._v < 0:
                 raise EvalAtZeroError("negative exponent evaluated at q = 0")
-            return Fraction(self._terms.get(0, 0))
-        return sum((c * x**e for e, c in self._terms.items()), Fraction(0))
+            return Fraction(self.coeff(0))
+        v = self._v
+        return sum((c * x ** (v + i) for i, c in enumerate(self._c) if c), Fraction(0))
 
     def eval_at_one(self) -> Fraction:
         """The q -> 1 specialization, i.e. the sum of all coefficients."""
-        return Fraction(sum(self._terms.values()))
+        return Fraction(sum(self._c))
 
     # -- equality, hashing, rendering --------------------------------------
 
@@ -336,15 +357,15 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._v == other._v and self._c == other._c
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._v, self._c))
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._c:
             return "0"
         parts: list[str] = []
         for e, c in self.sorted_terms():
@@ -366,7 +387,7 @@ class LaurentPoly:
 
     def latex(self) -> str:
         """LaTeX rendering with braced exponents, e.g. -q^{-2} + 2 + 3q."""
-        if not self._terms:
+        if not self._c:
             return "0"
         parts: list[str] = []
         for e, c in self.sorted_terms():
@@ -391,6 +412,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentPoly":
+        """Parse the JSON wire form; raises ValueError on anything but the canonical form."""
         if not isinstance(data, dict) or set(data) != {"terms"} or not isinstance(data["terms"], list):
             raise ValueError("malformed polynomial document")
         terms: dict[int, int] = {}
@@ -398,24 +420,26 @@ class LaurentPoly:
         for item in data["terms"]:
             if not isinstance(item, dict) or set(item) != {"e", "c"}:
                 raise ValueError("malformed term")
-            e, c = item["e"], int(item["c"])
-            if not isinstance(e, int) or c == 0:
-                raise ValueError("terms must have integer exponents and nonzero coefficients")
+            e, c = item["e"], item["c"]
+            if not _is_int(e):
+                raise ValueError(f"term exponent must be an integer, got {e!r}")
+            if not isinstance(c, str) or not _DECIMAL.fullmatch(c):
+                raise ValueError(f"term coefficient must be a nonzero decimal string, got {c!r}")
             if prev is not None and e <= prev:
                 raise ValueError("term exponents must be strictly ascending")
             prev = e
-            terms[e] = c
-        return cls._raw(terms)
+            terms[e] = int(c)
+        return cls(terms)
 
 
-ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({0: 1})
-Q = LaurentPoly._raw({1: 1})
+ZERO = LaurentPoly._raw(0, ())
+ONE = LaurentPoly._raw(0, (1,))
+Q = LaurentPoly._raw(1, (1,))
 
 
 def q_power(e: int) -> LaurentPoly:
     """The monomial q^e."""
-    return LaurentPoly._raw({e: 1})
+    return LaurentPoly._raw(e, (1,))
 
 
 @cache
@@ -424,17 +448,18 @@ def q_bracket(n: int) -> LaurentPoly:
 
     [n] = 1 + q + ... + q^(n-1) for n >= 0, and [-n] = -q^(-n) [n].
     """
+    _check_span(abs(n))
     if n >= 0:
-        return LaurentPoly._raw({e: 1 for e in range(n)})
-    return LaurentPoly._raw({e: -1 for e in range(n, 0)})
+        return LaurentPoly._raw(0, (1,) * n)
+    return LaurentPoly._raw(n, (-1,) * -n)
 
 
 @cache
 def _bracket_base(n: int, m: int) -> LaurentPoly:
     # [n] with q replaced by q^m.
     if n >= 0:
-        return LaurentPoly._raw({m * e: 1 for e in range(n)})
-    return LaurentPoly._raw({m * e: -1 for e in range(n, 0)})
+        return LaurentPoly({m * e: 1 for e in range(n)})
+    return LaurentPoly({m * e: -1 for e in range(n, 0)})
 
 
 @cache

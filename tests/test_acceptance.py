@@ -4,6 +4,7 @@ equality over the full parameter grid; tolerance is zero everywhere.
 One PASS/FAIL line per criterion is printed (visible under pytest -s).
 """
 
+import hashlib
 import json
 import math
 import random
@@ -47,6 +48,8 @@ from qwhitney.formulas import (
 from qwhitney.cli import main as cli_main
 
 GRID = [Params(m, r) for m in (1, 2, 3) for r in range(-2, 4)]
+# sha256 of `qwhitney audit --json` over the default grid.
+AUDIT_JSON_SHA256 = "2df583ded9d014aa1bb48a51ff053cd02b78f992792cabe65e7fd02ee067b55d"
 
 
 def _report(name, body):
@@ -296,5 +299,7 @@ def test_c10_audit_determinism(tmp_path):
         assert cli_main(["audit", "--quiet", "--json", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert len(first.read_bytes()) > 0
+        # The default-grid report, byte for byte, as first recorded.
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == AUDIT_JSON_SHA256
 
     _report("10 audit-determinism", body)

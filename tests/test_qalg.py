@@ -1,5 +1,6 @@
 """Kernel tests: brackets, products, exact division, evaluation, rendering."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qwhitney.qalg import (
     NonDivisibleError,
     ONE,
     Q,
+    SpanTooWideError,
     ZERO,
     lp_eval,
     lp_exact_div,
@@ -45,10 +47,6 @@ dense_polys = st.builds(
     st.integers(min_value=-200, max_value=200),
     st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=120),
 )
-# A few terms spread far apart: the fallback through q_bracket(b) * p.
-sparse_polys = st.dictionaries(
-    st.integers(min_value=-(10**6), max_value=10**6), coeffs, max_size=8
-).map(LaurentPoly)
 # Few terms over a span of thousands: wide, but small enough for a dense oracle.
 wide_polys = st.dictionaries(
     st.integers(min_value=-1500, max_value=1500), coeffs, min_size=2, max_size=8
@@ -102,6 +100,18 @@ class TestMul:
         c = LaurentPoly({e: -(e % 4) - 1 for e in range(120)})
         assert a * c == naive_mul(a, c)
 
+    @pytest.mark.parametrize("bits", [62, 63, 64, 65, 66])
+    def test_slot_width_boundary(self, bits):
+        # Largest-magnitude coefficients whose product bound needs `bits`
+        # bits per slot, on both sides of the one-word (64-bit) slot.
+        n = 4
+        ka = (bits - 1 - n.bit_length()) // 2
+        kb = bits - 1 - n.bit_length() - ka
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a = LaurentPoly({e: sa * ((1 << ka) - 1) for e in range(n)})
+            b = LaurentPoly({e: sb * ((1 << kb) - 1) for e in range(-2, n - 2)})
+            assert a * b == naive_mul(a, b)
+
     @given(polys, polys, polys)
     def test_ring_laws(self, a, b, c):
         assert a * b == b * a
@@ -122,9 +132,10 @@ class TestMul:
 
 
 class TestMulBracket:
-    @given(st.one_of(dense_polys, sparse_polys, polys), brackets)
+    @given(st.one_of(dense_polys, wide_polys, polys), brackets)
     @example(LaurentPoly({0: 1, 1: -2}), 0)
     @example(ZERO, 5)
+    @example(q_power(10**5) + ONE, 5)
     def test_matches_bracket_product(self, p, b):
         assert p.mul_bracket(b) == q_bracket(b) * p
 
@@ -133,23 +144,18 @@ class TestMulBracket:
         assert Q.mul_bracket(-2) == LaurentPoly({-1: -1, 0: -1})
         assert q_bracket(2).mul_bracket(2) == LaurentPoly({0: 1, 1: 2, 2: 1})
 
-    def test_wide_span_takes_the_sparse_fallback(self, monkeypatch):
-        import qwhitney.qalg as qalg
-
-        p = q_power(10**9) + ONE
-        # Guard: the dense path would allocate a list of 10^9 slots.
-        assert not qalg._dense_enough(p.terms(), 0, 10**9)
-        seen = []
-
-        def spy(n):
-            seen.append(n)
-            return q_bracket(n)
-
-        monkeypatch.setattr(qalg, "q_bracket", spy)
-        got = p.mul_bracket(5)
-        assert seen == [5]
-        assert got == LaurentPoly({e: 1 for e in [*range(5), *range(10**9, 10**9 + 5)]})
-        assert len(got.terms()) == 10
+    def test_wide_span_is_rejected(self):
+        # Dense storage would need 10^9 and 2^40 slots; the span check must
+        # raise before anything of that size is allocated.
+        for build in (lambda: q_power(10**9) + ONE, lambda: ONE.mul_bracket(2**40)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SpanTooWideError):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestExactDiv:
@@ -274,6 +280,37 @@ class TestRendering:
         with pytest.raises(ValueError):
             LaurentPoly.from_json_dict({"rows": []})
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [{"e": 0, "c": 1.5}],
+            [{"e": 0, "c": 3}],
+            [{"e": True, "c": "2"}],
+            [{"e": 1.0, "c": "2"}],
+            [{"e": 0, "c": " 3_0 "}],
+            [{"e": 0, "c": "+3"}],
+            [{"e": 0, "c": "03"}],
+            [{"e": 0, "c": "-0"}],
+            [{"e": 0, "c": "3\n"}],
+            [{"e": 0, "c": "1"}, {"e": 10**9, "c": "1"}],
+        ],
+        ids=[
+            "float-c",
+            "int-c",
+            "bool-e",
+            "float-e",
+            "padded-c",
+            "plus-c",
+            "leading-zero-c",
+            "minus-zero-c",
+            "newline-c",
+            "too-wide",
+        ],
+    )
+    def test_json_rejects_non_canonical(self, terms):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_dict({"terms": terms})
+
     @given(polys)
     def test_json_round_trip_random(self, p):
         assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
@@ -283,6 +320,15 @@ class TestStructure:
     def test_equality_is_structural(self):
         assert LaurentPoly({0: 1, 1: 0}) == ONE
         assert hash(LaurentPoly({2: 3})) == hash(LaurentPoly({2: 3}))
+
+    @pytest.mark.parametrize("terms", [{True: 1}, {0: True}, {0: 1.0}], ids=["bool-e", "bool-c", "float-c"])
+    def test_constructor_rejects_non_integers(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
+    def test_bool_operand_becomes_an_integer(self):
+        for value in (ONE * True, True * ONE, ZERO + True):
+            assert value.to_json_dict() == {"terms": [{"e": 0, "c": "1"}]}
 
     def test_unit_monomials(self):
         assert q_power(-5).is_unit_monomial()
