@@ -23,12 +23,10 @@ The q-bracket [n] = (1 - q^n)/(1 - q) is defined for every integer n:
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from operator import add, neg, sub
+from operator import add, index, neg, sub
 from typing import Iterable, Mapping
 
 
@@ -46,9 +44,6 @@ class SpanTooWideError(ValueError):
 
 # Most exponents, from valuation to degree inclusive, that one value may span.
 _MAX_SPAN = 1 << 24
-
-# The bias 2^63 of one 64-bit slot, little-endian.
-_WORD_BIAS = (1 << 63).to_bytes(8, "little")
 
 _DECIMAL = re.compile(r"-?[1-9][0-9]*")
 
@@ -92,17 +87,6 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         + min(len(a), len(b)).bit_length()
         + 1
     )
-    if bits <= 64:
-        # One machine word per slot: array packs the words in C.  A word
-        # holds c in two's complement, and flipping its top bit (the XOR
-        # with the bias) turns that into c + 2^63, and back.
-        bias = int.from_bytes(_WORD_BIAS * n_out, "little")
-        bias_b = bias >> (64 * (len(a) - 1))
-        bias_a = bias >> (64 * (len(b) - 1))
-        pa = (int.from_bytes(array("q", a), sys.byteorder) ^ bias_a) - bias_a
-        pb = (int.from_bytes(array("q", b), sys.byteorder) ^ bias_b) - bias_b
-        data = ((pa * pb + bias) ^ bias).to_bytes(8 * n_out, sys.byteorder)
-        return tuple(memoryview(data).cast("q"))
     width = (bits + 7) // 8
     half = 1 << (8 * width - 1)
     slot = half.to_bytes(width, "little")
@@ -154,6 +138,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
+        # index() keeps an integer and turns a bool into a plain int.
+        c = index(c)
         return cls._raw(0, (c,)) if c else ZERO
 
     # -- inspection -------------------------------------------------------
@@ -203,8 +189,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            # int() turns a bool operand into a plain integer coefficient.
-            return LaurentPoly.const(int(other))
+            return LaurentPoly.const(other)
         return None
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":

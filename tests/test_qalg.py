@@ -93,7 +93,7 @@ class TestMul:
         assert a * b == naive_mul(a, b)
 
     def test_large_dense_paths_match_naive(self):
-        # Big enough to force the packed multiplication path.
+        # Long operands of both signs, several bytes per slot.
         a = LaurentPoly({e: (e % 7) - 3 for e in range(-40, 160)})
         b = LaurentPoly({e: (e % 5) + 1 for e in range(-10, 90)})
         assert a * b == naive_mul(a, b)
@@ -103,7 +103,7 @@ class TestMul:
     @pytest.mark.parametrize("bits", [62, 63, 64, 65, 66])
     def test_slot_width_boundary(self, bits):
         # Largest-magnitude coefficients whose product bound needs `bits`
-        # bits per slot, on both sides of the one-word (64-bit) slot.
+        # bits per slot, on both sides of a 64-bit slot.
         n = 4
         ka = (bits - 1 - n.bit_length()) // 2
         kb = bits - 1 - n.bit_length() - ka
@@ -327,8 +327,10 @@ class TestStructure:
             LaurentPoly(terms)
 
     def test_bool_operand_becomes_an_integer(self):
-        for value in (ONE * True, True * ONE, ZERO + True):
+        for value in (ONE * True, True * ONE, ZERO + True, LaurentPoly.const(True)):
             assert value.to_json_dict() == {"terms": [{"e": 0, "c": "1"}]}
+        assert ONE == True  # noqa: E712
+        assert LaurentPoly.const(False) is ZERO
 
     def test_unit_monomials(self):
         assert q_power(-5).is_unit_monomial()
