@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
 from .qalg import EvalAtZeroError, LaurentPoly
-from .triangles import FamilyId, Params, get_triangle
+from .triangles import FamilyId, Params, dowling, get_triangle
 from .formulas import whitney2_rational_gf
 from .upoly import upoly_coeff
 
@@ -102,14 +102,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_dowling(args: argparse.Namespace) -> int:
     params = Params(args.m, args.r)
-    family = {1: FamilyId.W2, 2: FamilyId.W2_FORM2, 3: FamilyId.W2_FORM3}[args.form]
-    rows = get_triangle(family, params).rows(args.nmax)
-    values = []
-    for row in rows:
-        total = row[0]
-        for v in row[1:]:
-            total = total + v
-        values.append(_cell(total, args.q))
+    values = [_cell(dowling(params, args.form, n), args.q) for n in range(args.nmax + 1)]
     if args.format == "text":
         text = ", ".join(_cell_str(v) for v in values) + "\n"
     elif args.format == "csv":

@@ -95,22 +95,12 @@ def q_difference(f: GridFunction, k: int, h: int) -> LaurentPoly:
 
 
 def whitney2_explicit(params: Params, n: int, k: int) -> LaurentPoly:
-    """Alternating-sum explicit formula for the second-kind entry."""
-    m, r = params.m, params.r
-    total = ZERO
-    for j in range(k + 1):
-        term = (
-            q_power(m * comb(k - j, 2))
-            * q_binomial_base(k, j, m)
-            * bracket_power(j * m + r, n)
-        )
-        total = total - term if (k - j) % 2 else total + term
-    return _div_factorial_base(total, k, m)
+    """Explicit formula for the second-kind entry: the k-th q-difference of
+    x -> [x + r]^n with step m, divided by [k]! in base q^m times [m]^k.
 
-
-def whitney2_egf_coeff(params: Params, n: int, k: int) -> LaurentPoly:
-    """Order-n coefficient of the exponential generating function, via the
-    difference operator applied to x -> [x + r]^n."""
+    The same alternating sum is the entry's exponential generating function
+    coefficient, so that reading has no separate evaluator.
+    """
     m, r = params.m, params.r
     return _div_factorial_base(q_difference(lambda x: bracket_power(x + r, n), k, m), k, m)
 
@@ -142,37 +132,17 @@ def whitney2_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
 
 
 def lah_explicit(params: Params, n: int, k: int) -> LaurentPoly:
-    """Alternating-sum explicit formula for the Lah-type entry."""
-    m, r = params.m, params.r
-    total = ZERO
-    for j in range(k + 1):
-        term = (
-            q_power(m * comb(k - j, 2))
-            * q_binomial_base(k, j, m)
-            * rising_bracket_product(2 * r + j * m, m, n)
-        )
-        total = total - term if (k - j) % 2 else total + term
-    return _div_factorial_base(total, k, m)
+    """Explicit formula for the Lah-type entry: the k-th q-difference of the
+    length-n rising product starting at x + 2r, step m, divided as above.
 
-
-def lah_egf_coeff(params: Params, n: int, k: int) -> LaurentPoly:
-    """Order-n coefficient of the Lah exponential generating function, via the
-    difference operator applied to x -> rising product starting at x + 2r."""
+    The same sum is the q-Newton interpolation coefficient of that product
+    over the node grid 0, m, 2m, ... and its exponential generating function
+    coefficient, so those readings have no separate evaluators.
+    """
     m, r = params.m, params.r
     return _div_factorial_base(
         q_difference(lambda x: rising_bracket_product(x + 2 * r, m, n), k, m), k, m
     )
-
-
-def newton_lah_coefficients(params: Params, n: int) -> list[LaurentPoly]:
-    """Interpolation coefficients of the length-n rising product over the
-    node grid 0, m, 2m, ...; entry k reproduces the Lah-type entry (n, k)."""
-    m, r = params.m, params.r
-
-    def f(x: int) -> LaurentPoly:
-        return rising_bracket_product(x + 2 * r, m, n)
-
-    return [_div_factorial_base(q_difference(f, k, m), k, m) for k in range(n + 1)]
 
 
 def lah_vertical(variant: Variant, params: Params, n: int, k: int) -> LaurentPoly:

@@ -168,24 +168,24 @@ def lah(params: Params, n: int, k: int) -> LaurentPoly:
 _DOWLING_FAMILY = {1: FamilyId.W2, 2: FamilyId.W2_FORM2, 3: FamilyId.W2_FORM3}
 
 
+def _row_sum(family: FamilyId, params: Params, n: int) -> LaurentPoly:
+    total = ZERO
+    for entry in get_triangle(family, params).row(n):
+        total = total + entry
+    return total
+
+
 def dowling(params: Params, form: int, n: int) -> LaurentPoly:
     """Row sum of the requested second-kind form (form in {1, 2, 3})."""
     family = _DOWLING_FAMILY.get(form)
     if family is None:
         raise ValueError(f"form must be 1, 2 or 3, got {form!r}")
-    row = get_triangle(family, params).row(n)
-    total = ZERO
-    for entry in row:
-        total = total + entry
-    return total
+    return _row_sum(family, params, n)
 
 
 def lah_row_sum(params: Params, n: int) -> LaurentPoly:
     """Sum of the Lah-type triangle row n."""
-    total = ZERO
-    for entry in get_triangle(FamilyId.LAH, params).row(n):
-        total = total + entry
-    return total
+    return _row_sum(FamilyId.LAH, params, n)
 
 
 class InverseMatrix:

@@ -11,7 +11,6 @@ from qwhitney.audit import (
     ParamGrid,
     REGISTRY,
     UnknownCheckIdError,
-    classical_limit_check,
     run_all,
     run_check,
 )
@@ -130,6 +129,22 @@ class TestRunCheck:
         assert (ce.n, ce.k) == (2, 2)
         assert ce.lhs == ONE and ce.rhs == q_power(2)
 
+    @pytest.mark.parametrize(
+        "reused, source",
+        [
+            ("C07_W_EGF", "C06_W_EXPLICIT"),
+            ("C21_LAH_NEWTON", "C20_LAH_EXPLICIT"),
+            ("C22_LAH_EGF", "C20_LAH_EXPLICIT"),
+        ],
+    )
+    def test_reused_sum_matches_its_source(self, reused, source):
+        grid = ParamGrid((1, 2), (-1, 0, 2), 5)
+
+        def verdicts(check_id):
+            return [(res.m, res.r, res.status, res.counterexample) for res in run_check(check_id, grid)]
+
+        assert verdicts(reused) == verdicts(source)
+
     def test_fail_results_carry_counterexamples(self):
         for check_id in EXPECTED_ERRATA:
             for res in run_check(check_id, ParamGrid((1,), (1,), 4)):
@@ -194,7 +209,7 @@ class TestRunAll:
 
 class TestClassicalLimits:
     def test_passes_on_default_grid(self):
-        results = classical_limit_check(DEFAULT_GRID)
+        results = run_check("C26_CLASSICAL_LIMITS", DEFAULT_GRID)
         assert all(res.status == "pass" for res in results)
         points = {(res.m, res.r) for res in results}
         assert len(points) == len(DEFAULT_GRID.m_values) * len(DEFAULT_GRID.r_values)

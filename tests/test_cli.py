@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -121,6 +122,21 @@ class TestDowling:
         doc = json.loads(capsys.readouterr().out)
         assert doc["form"] == 2 and len(doc["values"]) == 4
 
+    # sha256 of `qwhitney dowling --form F --m 2 --r -1 --nmax 8 --format json`:
+    # the output bytes are pinned, so a change to the shared row sum cannot
+    # silently alter them.
+    DIGESTS = {
+        1: "4234cb9e3082dda368b37db13a76be2225bcab4f2f65f513b4866948a5777a4b",
+        2: "04a1e79e87ce2d7cb543b8d253cf232f859208fa582b482f2e6417b7acf1ac30",
+        3: "67ac9222d4b7e9efc4aadab38700abe45f14911c3c7250ffbab6575531cb5132",
+    }
+
+    @pytest.mark.parametrize("form", [1, 2, 3])
+    def test_bytes_unchanged(self, form, capsys):
+        args = ["dowling", "--form", str(form), "--m", "2", "--r", "-1", "--nmax", "8", "--format", "json"]
+        assert run_cli(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[form]
+
 
 class TestExpand:
     def test_column_zero(self, capsys):
@@ -168,6 +184,14 @@ class TestAudit:
 
     def test_unknown_check(self):
         assert run_cli(["audit", "--check", "bogus"]) == 2
+
+    def test_repeated_check_counted_once(self, capsys):
+        args = ["audit", "--grid", "m=1 r=0 nmax=3", "--check", "C18_LAH_DIAGONAL"]
+        assert run_cli(args) == 0
+        single = capsys.readouterr().out
+        assert run_cli(args + ["--check", "C18_LAH_DIAGONAL"]) == 0
+        assert capsys.readouterr().out == single
+        assert "summary: 1 pass, 1 fail" in single
 
     def test_bad_grid(self):
         assert run_cli(["audit", "--grid", "m=0"]) == 2

@@ -20,15 +20,12 @@ from qwhitney.formulas import (
     _div_factorial_base,
     bracket_power,
     dowling_qi,
-    lah_egf_coeff,
     lah_explicit,
     lah_horizontal,
     lah_vertical,
     lah_via_composition,
-    newton_lah_coefficients,
     q_difference,
     rising_bracket_product,
-    whitney2_egf_coeff,
     whitney2_explicit,
     whitney2_horizontal,
     whitney2_rational_gf,
@@ -93,11 +90,10 @@ class TestWhitney2Paths:
         assert whitney2_explicit(P11, 1, 1) == Q
         for n in range(5):
             assert whitney2_explicit(P21, n, 0) == bracket_power(1, n)
-
-    def test_egf_examples(self):
-        assert whitney2_egf_coeff(P10, 3, 2) == LaurentPoly({1: 2, 2: 1})
-        assert whitney2_egf_coeff(P21, 0, 0) == ONE
-        assert whitney2_egf_coeff(P11, 2, 2) == q_power(3)
+        # The explicit sum is also the exponential generating function coefficient.
+        assert whitney2_explicit(P10, 3, 2) == LaurentPoly({1: 2, 2: 1})
+        assert whitney2_explicit(P21, 0, 0) == ONE
+        assert whitney2_explicit(P11, 2, 2) == q_power(3)
 
     def test_vertical_examples(self):
         assert whitney2_vertical(P10, 1, 0) == whitney2(P10, 2, 1) == ONE
@@ -130,7 +126,6 @@ class TestWhitney2Paths:
                 for k in range(n + 1):
                     w = whitney2(p, n, k)
                     assert whitney2_explicit(p, n, k) == w, ("explicit", p, n, k)
-                    assert whitney2_egf_coeff(p, n, k) == w, ("egf", p, n, k)
                     assert whitney2_horizontal(p, n, k) == w, ("horizontal", p, n, k)
                     if n < 6:
                         assert whitney2_vertical(p, n, k) == whitney2(p, n + 1, k + 1)
@@ -146,16 +141,15 @@ class TestLahPaths:
         assert lah_explicit(P10, 2, 2) == q_power(2)
         for n in range(5):
             assert lah_explicit(P21, n, 0) == rising_bracket_product(2, 2, n)
+        # The explicit sum is also the exponential generating function coefficient.
+        assert lah_explicit(P21, 0, 0) == ONE
+        assert lah_explicit(P11, 2, 2) == q_power(6)
 
     def test_newton_examples(self):
-        assert newton_lah_coefficients(P10, 2) == [lah(P10, 2, k) for k in range(3)]
-        assert newton_lah_coefficients(P11, 1) == [q_bracket(2), q_power(2)]
-        assert newton_lah_coefficients(Params(3, -2), 0) == [ONE]
-
-    def test_egf_examples(self):
-        assert lah_egf_coeff(P10, 2, 1) == LaurentPoly({0: 1, 1: 1})
-        assert lah_egf_coeff(P21, 0, 0) == ONE
-        assert lah_egf_coeff(P11, 2, 2) == q_power(6)
+        # Row n of q-Newton interpolation coefficients is the explicit sum at k = 0..n.
+        assert [lah_explicit(P10, 2, k) for k in range(3)] == [lah(P10, 2, k) for k in range(3)]
+        assert [lah_explicit(P11, 1, k) for k in range(2)] == [q_bracket(2), q_power(2)]
+        assert [lah_explicit(Params(3, -2), 0, k) for k in range(1)] == [ONE]
 
     def test_vertical_corrected_examples(self):
         assert lah_vertical(Variant.CORRECTED, P11, 1, 0) == lah(P11, 2, 1)
@@ -176,12 +170,9 @@ class TestLahPaths:
     def test_all_paths_agree_on_grid(self):
         for p in GRID:
             for n in range(7):
-                newton = newton_lah_coefficients(p, n)
                 for k in range(n + 1):
                     val = lah(p, n, k)
                     assert lah_explicit(p, n, k) == val, ("explicit", p, n, k)
-                    assert lah_egf_coeff(p, n, k) == val, ("egf", p, n, k)
-                    assert newton[k] == val, ("newton", p, n, k)
                     assert lah_horizontal(p, n, k) == val, ("horizontal", p, n, k)
                     if n < 6:
                         assert lah_vertical(Variant.CORRECTED, p, n, k) == lah(p, n + 1, k + 1)

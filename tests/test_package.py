@@ -1,0 +1,17 @@
+"""Tests of the package's public namespace."""
+
+import qwhitney
+from qwhitney import audit, formulas
+
+REMOVED = ["whitney2_egf_coeff", "lah_egf_coeff", "newton_lah_coefficients", "classical_limit_check"]
+
+
+def test_every_export_resolves():
+    for name in qwhitney.__all__:
+        assert hasattr(qwhitney, name), name
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in qwhitney.__all__
+        assert not any(hasattr(module, name) for module in (qwhitney, formulas, audit))
