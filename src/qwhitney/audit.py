@@ -32,6 +32,7 @@ from .triangles import (
 )
 from .upoly import UPoly, falling_factorial_u, rising_factorial_u, upoly_coeff
 from .formulas import (
+    Entry,
     Variant,
     bracket_power,
     dowling_qi,
@@ -39,6 +40,7 @@ from .formulas import (
     lah_vertical,
     lah_via_composition,
     rising_bracket_product,
+    triangular_sum,
     whitney2_explicit,
     whitney2_horizontal,
     whitney2_rational_gf,
@@ -115,7 +117,7 @@ class CheckResult:
 
 
 CheckFn = Callable[[Variant, Params, int], Counterexample | None]
-Entry = Callable[[int, int], LaurentPoly]
+Pair = tuple[Entry, Entry]  # (got, want)
 
 
 @dataclass(frozen=True)
@@ -126,23 +128,45 @@ class CheckDef:
     fn: CheckFn
 
 
-def _first_upoly_mismatch(n: int, got: UPoly, want: UPoly) -> Counterexample:
-    top = max(got.degree(), want.degree())
-    for i in range(top + 1):
-        if got.coeff(i) != want.coeff(i):
-            return Counterexample(n, i, got.coeff(i), want.coeff(i))
-    raise AssertionError("mismatch reported for equal polynomials")
-
-
-def _first_mismatch(rows: Iterable[int], got: Entry, want: Entry) -> Counterexample | None:
-    """The first (n, k), n in rows and 0 <= k <= n, where got and want differ."""
-    for n in rows:
-        for k in range(n + 1):
+def _first_mismatch(cells: Iterable[tuple[int, int]], *pairs: Pair) -> Counterexample | None:
+    """The first cell (n, k), in the order given, where got(n, k) and
+    want(n, k) differ for one of the (got, want) pairs, tried in order."""
+    for n, k in cells:
+        for got, want in pairs:
             lhs = got(n, k)
             rhs = want(n, k)
             if lhs != rhs:
                 return Counterexample(n, k, lhs, rhs)
     return None
+
+
+def _triangle(rows: Iterable[int]) -> Iterable[tuple[int, int]]:
+    """The cells (n, k), 0 <= k <= n, of the given rows, row-major."""
+    return ((n, k) for n in rows for k in range(n + 1))
+
+
+def _column_zero(rows: Iterable[int]) -> Iterable[tuple[int, int]]:
+    """The cells (n, 0) of the given rows."""
+    return ((n, 0) for n in rows)
+
+
+def _row_expansion(
+    basis: Callable[[int], UPoly], entry: Entry, target: Callable[[int], UPoly], nmax: int
+) -> Counterexample | None:
+    """Rows n <= nmax satisfy sum_k basis(k) * entry(n, k) = target(n), compared
+    by coefficient of u^i (the cell (n, i)); both sides have degree <= n."""
+
+    @cache
+    def expansion(n: int) -> UPoly:
+        acc = UPoly.zero()
+        for k in range(n + 1):
+            acc = acc + basis(k) * entry(n, k)
+        return acc
+
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (lambda n, i: expansion(n).coeff(i), lambda n, i: target(n).coeff(i)),
+    )
 
 
 # -- check functions ------------------------------------------------------
@@ -151,30 +175,34 @@ def _first_mismatch(rows: Iterable[int], got: Entry, want: Entry) -> Counterexam
 
 
 def _check_w_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        acc = UPoly.zero()
-        for k in range(n + 1):
-            acc = acc + falling_factorial_u(p.m, p.r, k) * whitney2(p, n, k)
-        want = UPoly.u_power(n)
-        if acc != want:
-            return _first_upoly_mismatch(n, acc, want)
-    return None
+    return _row_expansion(
+        lambda k: falling_factorial_u(p.m, p.r, k),
+        lambda n, k: whitney2(p, n, k),
+        UPoly.u_power,
+        nmax,
+    )
+
+
+def _rescaled(form: int, p: Params, n: int, k: int) -> LaurentPoly:
+    """Entry (n, k) of the second-kind form 1, 2 or 3 obtained by rescaling the
+    first form: by q^(-kr - m*C(k,2)) for form 2, by q^(-m*C(k,2)) for form 3."""
+    exponent = {1: 0, 2: -k * p.r - p.m * comb(k, 2), 3: -p.m * comb(k, 2)}[form]
+    return q_power(exponent) * whitney2(p, n, k)
 
 
 def _check_w_forms_scaling(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            w = whitney2(p, n, k)
-            star = whitney2_scaled(2, p, n, k)
-            tilde = whitney2_scaled(3, p, n, k)
-            want_star = q_power(-k * p.r - p.m * comb(k, 2)) * w
-            if star != want_star:
-                return Counterexample(n, k, star, want_star)
-            if tilde != q_power(k * p.r) * star:
-                return Counterexample(n, k, tilde, q_power(k * p.r) * star)
-            if tilde != q_power(-p.m * comb(k, 2)) * w:
-                return Counterexample(n, k, tilde, q_power(-p.m * comb(k, 2)) * w)
-    return None
+    def star(n: int, k: int) -> LaurentPoly:
+        return whitney2_scaled(2, p, n, k)
+
+    def tilde(n: int, k: int) -> LaurentPoly:
+        return whitney2_scaled(3, p, n, k)
+
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (star, lambda n, k: _rescaled(2, p, n, k)),
+        (tilde, lambda n, k: q_power(k * p.r) * star(n, k)),
+        (tilde, lambda n, k: _rescaled(3, p, n, k)),
+    )
 
 
 def _check_w_recurrence_sign(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -186,20 +214,20 @@ def _check_w_recurrence_sign(variant: Variant, p: Params, nmax: int) -> Countere
         ) * whitney2(p, n - 1, k)
 
     # Row 0 is the seed 1 of both triangles, which no recurrence step produces.
-    return _first_mismatch(range(1, nmax + 1), got, lambda n, k: whitney2(p, n, k))
+    return _first_mismatch(_triangle(range(1, nmax + 1)), (got, lambda n, k: whitney2(p, n, k)))
 
 
 def _check_w_vertical(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax),
-        lambda n, k: whitney2_vertical(p, n, k),
-        lambda n, k: whitney2(p, n + 1, k + 1),
+        _triangle(range(nmax)),
+        (lambda n, k: whitney2_vertical(p, n, k), lambda n, k: whitney2(p, n + 1, k + 1)),
     )
 
 
 def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax + 1), lambda n, k: whitney2_horizontal(p, n, k), lambda n, k: whitney2(p, n, k)
+        _triangle(range(nmax + 1)),
+        (lambda n, k: whitney2_horizontal(p, n, k), lambda n, k: whitney2(p, n, k)),
     )
 
 
@@ -208,34 +236,30 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
 @cache
 def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax + 1), lambda n, k: whitney2_explicit(p, n, k), lambda n, k: whitney2(p, n, k)
+        _triangle(range(nmax + 1)),
+        (lambda n, k: whitney2_explicit(p, n, k), lambda n, k: whitney2(p, n, k)),
     )
 
 
 def _check_w_rational_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     series = [whitney2_rational_gf(p, k, nmax) for k in range(nmax + 1)]
-    for n in range(nmax + 1):
-        for k in range(nmax + 1):
-            got = upoly_coeff(series[k], n)
-            want = whitney2(p, n, k)
-            if got != want:
-                return Counterexample(n, k, got, want)
-    return None
+    return _first_mismatch(
+        ((n, k) for n in range(nmax + 1) for k in range(nmax + 1)),
+        (lambda n, k: upoly_coeff(series[k], n), lambda n, k: whitney2(p, n, k)),
+    )
 
 
 def _check_dowling_forms(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        sums = [ZERO, ZERO, ZERO]
+    def rescaled_sum(form: int, n: int) -> LaurentPoly:
+        total = ZERO
         for k in range(n + 1):
-            w = whitney2(p, n, k)
-            sums[0] = sums[0] + w
-            sums[1] = sums[1] + q_power(-k * p.r - p.m * comb(k, 2)) * w
-            sums[2] = sums[2] + q_power(-p.m * comb(k, 2)) * w
-        for form in (1, 2, 3):
-            got = dowling(p, form, n)
-            if got != sums[form - 1]:
-                return Counterexample(n, 0, got, sums[form - 1])
-    return None
+            total = total + _rescaled(form, p, n, k)
+        return total
+
+    def pair(form: int) -> Pair:
+        return (lambda n, _: dowling(p, form, n), lambda n, _: rescaled_sum(form, n))
+
+    return _first_mismatch(_column_zero(range(nmax + 1)), pair(1), pair(2), pair(3))
 
 
 def _check_lah_triangular(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -246,106 +270,90 @@ def _check_lah_triangular(variant: Variant, p: Params, nmax: int) -> Counterexam
             2 * r + k * m + (n - 1) * m
         ) * lah(p, n - 1, k)
 
-    return _first_mismatch(range(1, nmax + 1), got, lambda n, k: lah(p, n, k))
+    return _first_mismatch(_triangle(range(1, nmax + 1)), (got, lambda n, k: lah(p, n, k)))
 
 
 def _check_lah_vertical(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax),
-        lambda n, k: lah_vertical(variant, p, n, k),
-        lambda n, k: lah(p, n + 1, k + 1),
+        _triangle(range(nmax)),
+        (lambda n, k: lah_vertical(variant, p, n, k), lambda n, k: lah(p, n + 1, k + 1)),
     )
 
 
 def _check_orthogonality(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        for j in range(n + 1):
-            want = ONE if n == j else ZERO
-            left = ZERO
-            right = ZERO
-            for k in range(j, n + 1):
-                left = left + whitney1_falling(p, n, k) * whitney2(p, k, j)
-                right = right + whitney2(p, n, k) * whitney1_falling(p, k, j)
-            if left != want:
-                return Counterexample(n, j, left, want)
-            if right != want:
-                return Counterexample(n, j, right, want)
-    return None
+    def first(n: int, k: int) -> LaurentPoly:
+        return whitney1_falling(p, n, k)
+
+    def second(n: int, k: int) -> LaurentPoly:
+        return whitney2(p, n, k)
+
+    def delta(n: int, j: int) -> LaurentPoly:
+        return ONE if n == j else ZERO
+
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (lambda n, j: triangular_sum(first, second, n, j), delta),
+        (lambda n, j: triangular_sum(second, first, n, j), delta),
+    )
 
 
 def _check_inverse_relations(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     inv_first = invert_unit_triangular(FamilyId.W1_FALLING, p, nmax)
     inv_second = invert_unit_triangular(FamilyId.W2, p, nmax)
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            got = inv_first.value(n, k)
-            want = whitney2(p, n, k)
-            if got != want:
-                return Counterexample(n, k, got, want)
-            got = inv_second.value(n, k)
-            want = whitney1_falling(p, n, k)
-            if got != want:
-                return Counterexample(n, k, got, want)
-    return None
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (inv_first.value, lambda n, k: whitney2(p, n, k)),
+        (inv_second.value, lambda n, k: whitney1_falling(p, n, k)),
+    )
 
 
 def _check_lah_composition(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax + 1),
-        lambda n, j: lah_via_composition(variant, p, n, j),
-        lambda n, j: lah(p, n, j),
+        _triangle(range(nmax + 1)),
+        (lambda n, j: lah_via_composition(variant, p, n, j), lambda n, j: lah(p, n, j)),
     )
 
 
 def _check_w_from_lah(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax + 1),
-        lambda n, j: whitney_from_lah(variant, p, n, j),
-        lambda n, j: whitney2(p, n, j),
+        _triangle(range(nmax + 1)),
+        (lambda n, j: whitney_from_lah(variant, p, n, j), lambda n, j: whitney2(p, n, j)),
     )
 
 
 def _check_dowling_qi(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        got = dowling_qi(variant, p, n)
-        want = dowling(p, 1, n)
-        if got != want:
-            return Counterexample(n, 0, got, want)
-    return None
+    return _first_mismatch(
+        _column_zero(range(nmax + 1)),
+        (lambda n, _: dowling_qi(variant, p, n), lambda n, _: dowling(p, 1, n)),
+    )
 
 
 def _check_lah_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        acc = UPoly.zero()
-        for k in range(n + 1):
-            acc = acc + falling_factorial_u(p.m, 0, k) * lah(p, n, k)
-        want = rising_factorial_u(p.m, 2 * p.r, n)
-        if acc != want:
-            return _first_upoly_mismatch(n, acc, want)
-    return None
+    return _row_expansion(
+        lambda k: falling_factorial_u(p.m, 0, k),
+        lambda n, k: lah(p, n, k),
+        lambda n: rising_factorial_u(p.m, 2 * p.r, n),
+        nmax,
+    )
 
 
 def _check_lah_diagonal(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
-        claimed = ONE if variant is Variant.VERBATIM else q_power(
-            2 * p.r * n + p.m * n * (n - 1)
-        )
-        got = lah(p, n, n)
-        if claimed != got:
-            return Counterexample(n, n, claimed, got)
-    return None
+    def claimed(n: int, k: int) -> LaurentPoly:
+        if variant is Variant.VERBATIM:
+            return ONE
+        return q_power(2 * p.r * n + p.m * n * (n - 1))
+
+    diagonal = ((n, n) for n in range(nmax + 1))
+    return _first_mismatch(diagonal, (claimed, lambda n, k: lah(p, n, k)))
 
 
 def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    for n in range(nmax + 1):
+    def claimed(n: int, k: int) -> LaurentPoly:
         if variant is Variant.VERBATIM:
-            claimed = bracket_power(2 * p.r + (n - 1) * p.m, n)
-        else:
-            claimed = rising_bracket_product(2 * p.r, p.m, n)
-        got = lah(p, n, 0)
-        if claimed != got:
-            return Counterexample(n, 0, claimed, got)
-    return None
+            return bracket_power(2 * p.r + (n - 1) * p.m, n)
+        return rising_bracket_product(2 * p.r, p.m, n)
+
+    return _first_mismatch(_column_zero(range(nmax + 1)), (claimed, lambda n, k: lah(p, n, k)))
 
 
 # The explicit sum is also the q-Newton interpolation coefficient (C21) and
@@ -354,31 +362,34 @@ def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexa
 @cache
 def _check_lah_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax + 1), lambda n, k: lah_explicit(p, n, k), lambda n, k: lah(p, n, k)
+        _triangle(range(nmax + 1)),
+        (lambda n, k: lah_explicit(p, n, k), lambda n, k: lah(p, n, k)),
     )
 
 
 def _check_w1_recurrence(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
-        range(nmax + 1),
-        lambda n, k: whitney1_falling(p, n, k),
-        lambda n, k: falling_factorial_u(p.m, p.r, n).coeff(k),
+        _triangle(range(nmax + 1)),
+        (
+            lambda n, k: whitney1_falling(p, n, k),
+            lambda n, k: falling_factorial_u(p.m, p.r, n).coeff(k),
+        ),
     )
 
 
 def _check_w1_boundary(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     m, r = p.m, p.r
-    for n in range(1, nmax + 1):
+
+    def claimed(n: int, k: int) -> LaurentPoly:
         if variant is Variant.VERBATIM:
-            claimed = q_power(-r - (n - 1) * m) * q_bracket(r + (n - 1) * m)
+            value = q_power(-r - (n - 1) * m) * q_bracket(r + (n - 1) * m)
         else:
-            claimed = q_power(-n * r - m * comb(n, 2)) * rising_bracket_product(r, m, n)
-        if n % 2:
-            claimed = -claimed
-        got = whitney1_falling(p, n, 0)
-        if claimed != got:
-            return Counterexample(n, 0, claimed, got)
-    return None
+            value = q_power(-n * r - m * comb(n, 2)) * rising_bracket_product(r, m, n)
+        return -value if n % 2 else value
+
+    return _first_mismatch(
+        _column_zero(range(1, nmax + 1)), (claimed, lambda n, k: whitney1_falling(p, n, k))
+    )
 
 
 def _check_w1_table(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -387,18 +398,16 @@ def _check_w1_table(variant: Variant, p: Params, nmax: int) -> Counterexample | 
         w20 = q_power(-(r + m)) * q_bracket(r + m)
     else:
         w20 = q_power(-(2 * r + m)) * q_bracket(r) * q_bracket(r + m)
-    cells = [
-        (1, 0, -(q_power(-r) * q_bracket(r))),
-        (1, 1, q_power(-r)),
-        (2, 0, w20),
-        (2, 1, -(q_power(-(2 * r + m)) * (q_bracket(r) + q_bracket(r + m)))),
-        (2, 2, q_power(-(2 * r + m))),
-    ]
-    for n, k, claimed in cells:
-        got = whitney1_falling(p, n, k)
-        if claimed != got:
-            return Counterexample(n, k, claimed, got)
-    return None
+    claimed = {
+        (1, 0): -(q_power(-r) * q_bracket(r)),
+        (1, 1): q_power(-r),
+        (2, 0): w20,
+        (2, 1): -(q_power(-(2 * r + m)) * (q_bracket(r) + q_bracket(r + m))),
+        (2, 2): q_power(-(2 * r + m)),
+    }
+    return _first_mismatch(
+        claimed, (lambda n, k: claimed[n, k], lambda n, k: whitney1_falling(p, n, k))
+    )
 
 
 # -- integer oracles for the q -> 1 limits ---------------------------------
@@ -416,29 +425,13 @@ def _bell_numbers(top: int) -> list[int]:
     return bells
 
 
-def _stirling2_rows(top: int) -> list[list[int]]:
+def _integer_rows(weight: Callable[[int, int], int], top: int) -> list[list[int]]:
+    """Rows 0..top of T[n,k] = T[n-1,k-1] + weight(n, k) T[n-1,k] from T[0,0] = 1,
+    in plain integers, so independent of the Laurent kernel."""
     rows = [[1]]
     for n in range(1, top + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            left = prev[k - 1] if 0 <= k - 1 < n else 0
-            right = prev[k] if k < n else 0
-            row.append(left + k * right)
-        rows.append(row)
-    return rows
-
-
-def _cheon_jung_rows(m: int, r: int, top: int) -> list[list[int]]:
-    rows = [[1]]
-    for n in range(1, top + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            left = prev[k - 1] if 0 <= k - 1 < n else 0
-            right = prev[k] if k < n else 0
-            row.append(left + (2 * r + k * m + (n - 1) * m) * right)
-        rows.append(row)
+        prev = rows[-1] + [0]
+        rows.append([(prev[k - 1] if k else 0) + weight(n, k) * prev[k] for k in range(n + 1)])
     return rows
 
 
@@ -450,33 +443,32 @@ def _classical_lah(n: int, k: int) -> int:
     return factorial(n) // factorial(k) * comb(n - 1, k - 1)
 
 
+def _at_one(value: LaurentPoly) -> LaurentPoly:
+    """The q -> 1 limit of value, as a constant."""
+    return LaurentPoly.const(int(lp_eval(value)))
+
+
 def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+    m, r = p.m, p.r
     top = min(nmax, 10)
-    cj = _cheon_jung_rows(p.m, p.r, top)
-    special = p.m == 1 and p.r == 0
-    if special:
+    cheon_jung = _integer_rows(lambda n, k: 2 * r + k * m + (n - 1) * m, top)
+    pairs: list[Pair] = [
+        (lambda n, k: _at_one(lah(p, n, k)), lambda n, k: LaurentPoly.const(cheon_jung[n][k]))
+    ]
+    if m == 1 and r == 0:
         bells = _bell_numbers(top)
-        stirling = _stirling2_rows(top)
-    for n in range(top + 1):
-        if special:
-            got = lp_eval(dowling(p, 1, n))
-            if got != bells[n]:
-                return Counterexample(n, 0, LaurentPoly.const(int(got)), LaurentPoly.const(bells[n]))
-        for k in range(n + 1):
-            got = lp_eval(lah(p, n, k))
-            if got != cj[n][k]:
-                return Counterexample(n, k, LaurentPoly.const(int(got)), LaurentPoly.const(cj[n][k]))
-            if special:
-                if got != _classical_lah(n, k):
-                    return Counterexample(
-                        n, k, LaurentPoly.const(int(got)), LaurentPoly.const(_classical_lah(n, k))
-                    )
-                got_w = lp_eval(whitney2(p, n, k))
-                if got_w != stirling[n][k]:
-                    return Counterexample(
-                        n, k, LaurentPoly.const(int(got_w)), LaurentPoly.const(stirling[n][k])
-                    )
-    return None
+        stirling = _integer_rows(lambda n, k: k, top)
+        # The Bell number of row n is compared once, at its column-zero cell.
+        pairs = [
+            (
+                lambda n, k: _at_one(dowling(p, 1, n)) if k == 0 else ZERO,
+                lambda n, k: LaurentPoly.const(bells[n]) if k == 0 else ZERO,
+            ),
+            *pairs,
+            (lambda n, k: _at_one(lah(p, n, k)), lambda n, k: LaurentPoly.const(_classical_lah(n, k))),
+            (lambda n, k: _at_one(whitney2(p, n, k)), lambda n, k: LaurentPoly.const(stirling[n][k])),
+        ]
+    return _first_mismatch(_triangle(range(top + 1)), *pairs)
 
 
 _BOTH = (Variant.VERBATIM, Variant.CORRECTED)

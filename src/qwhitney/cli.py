@@ -58,10 +58,16 @@ def _cell_latex(value) -> str:
 
 
 def _write(text: str, output: str | None) -> None:
+    """Write to stdout or to the named file; a file that cannot be written
+    is a bad CLI value, reported on one line with exit code 2."""
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        print(f"qwhitney: error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _csv_str(rows: list[list], header: list[str]) -> str:

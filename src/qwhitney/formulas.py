@@ -37,6 +37,7 @@ from .triangles import (
 from .upoly import TruncSeries, UPoly, useries_inverse
 
 GridFunction = Callable[[int], LaurentPoly]
+Entry = Callable[[int, int], LaurentPoly]
 
 
 class Variant(Enum):
@@ -114,21 +115,26 @@ def whitney2_vertical(params: Params, n: int, k: int) -> LaurentPoly:
     return q_power(m * k + r) * total
 
 
-def whitney2_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
-    """Horizontal recurrence reconstructing the entry at (n, k) from row n+1.
+def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
+    """Entry (n, k) of a triangle with the row-(n+1) weights q^(m(k-1)+c)
+    and [mk+c], reconstructed from row n+1 by inverting its recurrence.
 
     The weight ratios are assembled as explicit running products, never by
     polynomial division.
     """
-    m, r = params.m, params.r
     total = ZERO
     ratio = ONE
     for j in range(n - k + 1):
-        term = q_power(-r - m * (k + j)) * ratio * whitney2(params, n + 1, k + j + 1)
+        term = q_power(-c - m * (k + j)) * ratio * entry(n + 1, k + j + 1)
         total = total - term if j % 2 else total + term
         h = k + j + 1
-        ratio = ratio * (q_power(-r - m * h + m) * q_bracket(m * h + r))
+        ratio = ratio * (q_power(-c - m * h + m) * q_bracket(m * h + c))
     return total
+
+
+def whitney2_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
+    """Horizontal recurrence reconstructing the entry at (n, k) from row n+1."""
+    return _horizontal(params.r, params.m, lambda a, b: whitney2(params, a, b), n, k)
 
 
 def lah_explicit(params: Params, n: int, k: int) -> LaurentPoly:
@@ -171,16 +177,12 @@ def lah_vertical(variant: Variant, params: Params, n: int, k: int) -> LaurentPol
 
 
 def lah_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
-    """Horizontal recurrence reconstructing the Lah entry at (n, k) from row n+1."""
-    m, r = params.m, params.r
-    total = ZERO
-    ratio = ONE
-    for j in range(n - k + 1):
-        term = q_power(-2 * r - m * (k + j) - n * m) * ratio * lah(params, n + 1, k + j + 1)
-        total = total - term if j % 2 else total + term
-        h = k + j + 1
-        ratio = ratio * (q_power(-2 * r - m * h - n * m + m) * q_bracket(m * h + 2 * r + n * m))
-    return total
+    """Horizontal recurrence reconstructing the Lah entry at (n, k) from row n+1.
+
+    The Lah step into row n+1 is the second-kind step with r -> 2r + nm.
+    """
+    m = params.m
+    return _horizontal(2 * params.r + n * m, m, lambda a, b: lah(params, a, b), n, k)
 
 
 def whitney2_rational_gf(params: Params, k: int, order: int) -> TruncSeries:
@@ -198,57 +200,48 @@ def whitney2_rational_gf(params: Params, k: int, order: int) -> TruncSeries:
     return num * useries_inverse(den)
 
 
+def triangular_sum(left: Entry, right: Entry, n: int, j: int) -> LaurentPoly:
+    """Entry (n, j) of the product of two lower-triangular matrices: the sum
+    of left(n, k) * right(k, j) over k = j..n."""
+    total = ZERO
+    for k in range(j, n + 1):
+        total = total + left(n, k) * right(k, j)
+    return total
+
+
 def lah_via_composition(variant: Variant, params: Params, n: int, j: int) -> LaurentPoly:
     """Lah entry as a first-kind/second-kind matrix product.
 
     Verbatim pairs the falling first-kind family at -r with the second kind;
     corrected pairs the rising first-kind family at +r with the second kind.
     """
-    m, r = params.m, params.r
-    total = ZERO
     if variant is Variant.VERBATIM:
-        flipped = Params(m, -r)
-        for k in range(j, n + 1):
-            total = total + whitney1_falling(flipped, n, k) * whitney2(params, k, j)
+        flipped = Params(params.m, -params.r)
+        first = lambda a, b: whitney1_falling(flipped, a, b)
     else:
-        for k in range(j, n + 1):
-            total = total + whitney1_rising(params, n, k) * whitney2(params, k, j)
-    return total
+        first = lambda a, b: whitney1_rising(params, a, b)
+    return triangular_sum(first, lambda a, b: whitney2(params, a, b), n, j)
+
+
+def _lah_outer(variant: Variant, params: Params, n: int) -> Entry:
+    """The outer matrix of the Lah-to-second-kind routes, for rows up to n:
+    the second-kind triangle at -r (verbatim) or the inverse of the rising
+    first-kind triangle (corrected)."""
+    if variant is Variant.VERBATIM:
+        flipped = Params(params.m, -params.r)
+        return lambda a, b: whitney2(flipped, a, b)
+    return invert_unit_triangular(FamilyId.W1_RISING, params, n).value
 
 
 def whitney_from_lah(variant: Variant, params: Params, n: int, j: int) -> LaurentPoly:
-    """Second-kind entry recovered from the Lah triangle.
-
-    Verbatim multiplies by the second-kind triangle at -r; corrected
-    multiplies by the inverse of the rising first-kind triangle.
-    """
-    m, r = params.m, params.r
-    total = ZERO
-    if variant is Variant.VERBATIM:
-        flipped = Params(m, -r)
-        for k in range(j, n + 1):
-            total = total + whitney2(flipped, n, k) * lah(params, k, j)
-    else:
-        inv = invert_unit_triangular(FamilyId.W1_RISING, params, n)
-        for k in range(j, n + 1):
-            total = total + inv.value(n, k) * lah(params, k, j)
-    return total
+    """Second-kind entry recovered from the Lah triangle: the product of the
+    variant's outer matrix (`_lah_outer`) with the Lah triangle."""
+    outer = _lah_outer(variant, params, n)
+    return triangular_sum(outer, lambda a, b: lah(params, a, b), n, j)
 
 
 def dowling_qi(variant: Variant, params: Params, n: int) -> LaurentPoly:
-    """Row-sum sequence value assembled from Lah row sums.
-
-    Verbatim weights them by the second-kind triangle at -r; corrected
-    weights them by the inverse of the rising first-kind triangle.
-    """
-    m, r = params.m, params.r
-    total = ZERO
-    if variant is Variant.VERBATIM:
-        flipped = Params(m, -r)
-        for k in range(n + 1):
-            total = total + whitney2(flipped, n, k) * lah_row_sum(params, k)
-    else:
-        inv = invert_unit_triangular(FamilyId.W1_RISING, params, n)
-        for k in range(n + 1):
-            total = total + inv.value(n, k) * lah_row_sum(params, k)
-    return total
+    """Row-sum sequence value assembled from Lah row sums, weighted by row n
+    of the variant's outer matrix (`_lah_outer`)."""
+    outer = _lah_outer(variant, params, n)
+    return triangular_sum(outer, lambda k, _: lah_row_sum(params, k), n, 0)

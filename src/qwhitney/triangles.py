@@ -224,12 +224,8 @@ class InverseMatrix:
                 acc = ZERO
                 for k in range(j + 1, i + 1):
                     acc = acc + row[k] * t.value(k, j)
-                pivot = t.value(j, j)
-                if not pivot.is_unit_monomial():
-                    raise NonUnitDiagonalError(
-                        f"diagonal entry at n={j} is {pivot}, not a unit monomial"
-                    )
-                row[j] = -(acc * pivot.unit_inverse())
+                # Row j, built and checked earlier, holds 1 / T[j, j] on its diagonal.
+                row[j] = -(acc * self._rows[j][j])
             self._rows.append(row)
 
 

@@ -47,6 +47,11 @@ from qwhitney.cli import main as cli_main
 GRID = [Params(m, r) for m in (1, 2, 3) for r in range(-2, 4)]
 # sha256 of `qwhitney audit --json` over the default grid.
 AUDIT_JSON_SHA256 = "2df583ded9d014aa1bb48a51ff053cd02b78f992792cabe65e7fd02ee067b55d"
+# sha256 of `qwhitney audit --grid "m=1..3 r=-3..4 nmax=7" --json`: 840 results,
+# 210 of them fails spread over all 9 erratum checks, with counterexamples at
+# r = -3 and 4, which the default grid does not reach.
+WIDE_GRID = "m=1..3 r=-3..4 nmax=7"
+WIDE_AUDIT_JSON_SHA256 = "22dac6d57fb1fd6bb27a744764539fb1dba77e3e19dcaa37fb1be49db34fef11"
 
 
 def _report(name, body):
@@ -294,5 +299,8 @@ def test_c10_audit_determinism(tmp_path):
         assert len(first.read_bytes()) > 0
         # The default-grid report, byte for byte, as first recorded.
         assert hashlib.sha256(first.read_bytes()).hexdigest() == AUDIT_JSON_SHA256
+        wide = tmp_path / "wide.json"
+        assert cli_main(["audit", "--grid", WIDE_GRID, "--quiet", "--json", str(wide)]) == 0
+        assert hashlib.sha256(wide.read_bytes()).hexdigest() == WIDE_AUDIT_JSON_SHA256
 
     _report("10 audit-determinism", body)

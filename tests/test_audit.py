@@ -8,9 +8,11 @@ import pytest
 from qwhitney.qalg import ONE, q_power
 from qwhitney.audit import (
     DEFAULT_GRID,
+    Counterexample,
     ParamGrid,
     REGISTRY,
     UnknownCheckIdError,
+    _first_mismatch,
     run_all,
     run_check,
 )
@@ -89,6 +91,35 @@ class TestParamGrid:
         grid = ParamGrid((3, 1, 3), (2, -1, 2), 4)
         assert grid.m_values == (1, 3)
         assert grid.r_values == (-1, 2)
+
+
+class TestFirstMismatch:
+    """The one comparison loop every check runs through."""
+
+    @staticmethod
+    def entries(bad):
+        # Each entry is q^(10n + k), except at the cells named in bad.
+        return lambda n, k: q_power(10 * n + k) + (ONE if (n, k) in bad else 0)
+
+    def test_all_agree(self):
+        exact = self.entries(set())
+        assert _first_mismatch([(0, 0), (2, 1), (1, 1)], (exact, exact), (exact, exact)) is None
+
+    def test_cells_in_given_order(self):
+        exact, bad = self.entries(set()), self.entries({(1, 0), (2, 1)})
+        # (2, 1) comes first in the given order, though (1, 0) is smaller.
+        ce = _first_mismatch([(0, 0), (2, 1), (1, 0)], (bad, exact))
+        assert ce == Counterexample(2, 1, bad(2, 1), exact(2, 1))
+
+    def test_pairs_in_order_within_a_cell(self):
+        exact = self.entries(set())
+        first, second = self.entries({(1, 1)}), self.entries({(1, 0), (1, 1)})
+        # Cell (1, 0) fails only the second pair, so it wins over cell (1, 1).
+        ce = _first_mismatch([(1, 0), (1, 1)], (first, exact), (exact, second))
+        assert ce == Counterexample(1, 0, exact(1, 0), second(1, 0))
+        # Within cell (1, 1) both pairs fail; the first pair is reported.
+        ce = _first_mismatch([(1, 1)], (first, exact), (exact, second))
+        assert ce == Counterexample(1, 1, first(1, 1), exact(1, 1))
 
 
 class TestRunCheck:

@@ -95,6 +95,14 @@ class TestTable:
         assert code == 2
         assert "exponent span" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code = run_cli(["table", "--family", "w2", "--m", "1", "--r", "0", "--nmax", "2", "-o", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
+        assert not target.exists()
+
     def test_cache_option_removed(self, tmp_path):
         args = ["table", "--family", "lah", "--m", "1", "--r", "1", "--nmax", "3", "--cache", str(tmp_path)]
         assert run_cli(args) == 2
@@ -205,6 +213,15 @@ class TestAudit:
         assert doc["grid"] == {"m": [1], "r": [-1, 0, 1], "nmax": 3}
         assert doc["summary"]["fail"] > 0  # expected verbatim findings
         assert doc["errata"]
+
+
+    def test_unwritable_json_exits_two(self, tmp_path, capsys):
+        # Exit 1 means a genuine audit failure, so a write error must not use it.
+        target = tmp_path / "missing" / "report.json"
+        code = run_cli(["audit", "--grid", "m=1 r=0 nmax=2", "--quiet", "--json", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
 
 
 class TestGridParsing:
