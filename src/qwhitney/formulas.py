@@ -34,7 +34,7 @@ from .triangles import (
     whitney1_rising,
     whitney2,
 )
-from .upoly import TruncSeries, UPoly, useries_inverse
+from .upoly import TruncSeries, useries_inverse
 
 GridFunction = Callable[[int], LaurentPoly]
 Entry = Callable[[int, int], LaurentPoly]
@@ -48,18 +48,8 @@ class Variant(Enum):
 
 
 @cache
-def bracket_power(c: int, n: int) -> LaurentPoly:
-    """[c]^n, memoized incrementally."""
-    if n < 0:
-        raise ValueError("exponent must be >= 0")
-    if n == 0:
-        return ONE
-    return bracket_power(c, n - 1) * q_bracket(c)
-
-
-@cache
 def rising_bracket_product(c: int, m: int, n: int) -> LaurentPoly:
-    """Product of [c + i*m] for i = 0..n-1, memoized incrementally."""
+    """Product of [c + i*m] for i = 0..n-1, memoized incrementally; [c]^n at m = 0."""
     if n < 0:
         raise ValueError("length must be >= 0")
     if n == 0:
@@ -103,16 +93,32 @@ def whitney2_explicit(params: Params, n: int, k: int) -> LaurentPoly:
     coefficient, so that reading has no separate evaluator.
     """
     m, r = params.m, params.r
-    return _div_factorial_base(q_difference(lambda x: bracket_power(x + r, n), k, m), k, m)
+    return _div_factorial_base(
+        q_difference(lambda x: rising_bracket_product(x + r, 0, n), k, m), k, m
+    )
+
+
+def _vertical(c: Callable[[int], int], m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
+    """Entry (n+1, k+1) of a triangle whose row-i weights are q^(m(k-1)+c(i))
+    and [mk+c(i)], from column k of rows k..n by unrolling its recurrence:
+    the sum over j = k..n of q^(mk+c(j+1)) times the product of [m(k+1)+c(i)] for
+    i = j+2..n+1, times entry(j, k).
+
+    The products shed while unrolling are built as one running product.
+    """
+    total = ZERO
+    shed = ONE
+    for j in range(n, k - 1, -1):
+        total = total + q_power(m * k + c(j + 1)) * shed * entry(j, k)
+        if j > k:
+            shed = shed * q_bracket(m * (k + 1) + c(j + 1))
+    return total
 
 
 def whitney2_vertical(params: Params, n: int, k: int) -> LaurentPoly:
     """Vertical recurrence; the result is the entry at (n+1, k+1)."""
-    m, r = params.m, params.r
-    total = ZERO
-    for j in range(k, n + 1):
-        total = total + bracket_power(m * (k + 1) + r, n - j) * whitney2(params, j, k)
-    return q_power(m * k + r) * total
+    r = params.r
+    return _vertical(lambda i: r, params.m, lambda a, b: whitney2(params, a, b), n, k)
 
 
 def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
@@ -158,21 +164,15 @@ def lah_vertical(variant: Variant, params: Params, n: int, k: int) -> LaurentPol
     while unrolling; the verbatim form repeats one j-independent product.
     """
     m, r = params.m, params.r
+    if variant is Variant.CORRECTED:
+        # The Lah step into row i is the second-kind step with r -> 2r + (i-1)m.
+        return _vertical(lambda i: 2 * r + (i - 1) * m, m, lambda a, b: lah(params, a, b), n, k)
+    prod = ONE
+    for i in range(k + 1):
+        prod = prod * q_bracket(2 * r + (k + 1) * m + (n - i) * m)
     total = ZERO
-    if variant is Variant.VERBATIM:
-        prod = ONE
-        for i in range(k + 1):
-            prod = prod * q_bracket(2 * r + (k + 1) * m + (n - i) * m)
-        for j in range(k, n + 1):
-            total = total + q_power(2 * r + m * k + m * (n - j)) * prod * lah(params, j, k)
-        return total
-    suffix = ONE
-    terms = []
-    for j in range(n, k - 1, -1):
-        terms.append(q_power(2 * r + m * k + m * j) * suffix * lah(params, j, k))
-        suffix = suffix * q_bracket(2 * r + (k + 1) * m + j * m)
-    for t in terms:
-        total = total + t
+    for j in range(k, n + 1):
+        total = total + q_power(2 * r + m * k + m * (n - j)) * prod * lah(params, j, k)
     return total
 
 
@@ -190,14 +190,13 @@ def whitney2_rational_gf(params: Params, k: int, order: int) -> TruncSeries:
     if order < k:
         raise ValueError(f"order must be >= k, got order={order}, k={k}")
     m, r = params.m, params.r
-    den = TruncSeries(order, [ONE])
+    # The numerator is q^(m*C(k,2) + kr) u^k, so the denominator's inverse
+    # is needed only to order - k and is then shifted up by k.
+    den = TruncSeries(order - k, [ONE])
     for j in range(k + 1):
-        factor = TruncSeries(order, [ONE, -q_bracket(m * j + r)])
-        den = den * factor
-    num = TruncSeries.from_upoly(
-        UPoly.u_power(k, q_power(m * comb(k, 2) + k * r)), order
-    )
-    return num * useries_inverse(den)
+        den = den * TruncSeries(order - k, [ONE, -q_bracket(m * j + r)])
+    scale = q_power(m * comb(k, 2) + k * r)
+    return TruncSeries(order, [ZERO] * k + [scale * c for c in useries_inverse(den).coeffs()])
 
 
 def triangular_sum(left: Entry, right: Entry, n: int, j: int) -> LaurentPoly:

@@ -349,7 +349,9 @@ class LaurentPoly:
             self._hash = hash((self._v, self._c))
         return self._hash
 
-    def __str__(self) -> str:
+    def _render(self, times: str, lbrace: str, rbrace: str) -> str:
+        """Terms in ascending exponent order; `times` joins a coefficient to
+        its power of q, and the braces enclose an exponent other than 0, 1."""
         if not self._c:
             return "0"
         parts: list[str] = []
@@ -358,36 +360,24 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             elif e == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
+                body = "q" if mag == 1 else f"{mag}{times}q"
             else:
-                body = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
+                body = f"q^{lbrace}{e}{rbrace}" if mag == 1 else f"{mag}{times}q^{lbrace}{e}{rbrace}"
             if not parts:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
                 parts.append(f" - {body}" if c < 0 else f" + {body}")
         return "".join(parts)
+
+    def __str__(self) -> str:
+        return self._render("*", "", "")
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self!s})"
 
     def latex(self) -> str:
         """LaTeX rendering with braced exponents, e.g. -q^{-2} + 2 + 3q."""
-        if not self._c:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.sorted_terms():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}q"
-            else:
-                body = f"q^{{{e}}}" if mag == 1 else f"{mag}q^{{{e}}}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        return self._render("", "{", "}")
 
     # -- JSON wire form -----------------------------------------------------
 

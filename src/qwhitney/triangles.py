@@ -3,8 +3,9 @@
 Seven related families are produced over a common parameter pair (m, r):
 three forms of the second-kind triangle plus a sign-variant of its
 recurrence, two first-kind triangles (falling and rising basis), and the
-Lah-type triangle.  They differ only in their row of the weight table
-`_WEIGHTS`.  Entries are exact Laurent polynomials; each triangle is
+Lah-type triangle.  Six of them differ only in their row of the weight
+table `_WEIGHTS`; the sign-variant is the second kind at -r, the same
+triangle object.  Entries are exact Laurent polynomials; each triangle is
 filled row-major on demand and entries are never recomputed.
 """
 
@@ -96,7 +97,6 @@ class Triangle:
 # T[0,0] = 1, with the weights (a, b) = _WEIGHTS[family](m, r, n, k).
 _WEIGHTS: dict[FamilyId, Callable[[int, int, int, int], tuple[int, int]]] = {
     FamilyId.W2: lambda m, r, n, k: (m * (k - 1) + r, m * k + r),
-    FamilyId.W2_VERBATIM: lambda m, r, n, k: (m * (k - 1) - r, m * k - r),
     # Rescaling the canonical recurrence by q^(-kr - m*binom(k,2)) cancels
     # the diagonal weight entirely.
     FamilyId.W2_FORM2: lambda m, r, n, k: (0, m * k + r),
@@ -117,7 +117,13 @@ _TRIANGLES: dict[tuple[FamilyId, int, int], Triangle] = {}
 
 
 def get_triangle(family: FamilyId, params: Params) -> Triangle:
-    """The process-wide shared triangle for (family, params)."""
+    """The process-wide shared triangle for (family, params).
+
+    The sign-variant's weights are the second kind's with r -> -r, so it is
+    served by the second-kind triangle at -r.
+    """
+    if family is FamilyId.W2_VERBATIM:
+        family, params = FamilyId.W2, Params(params.m, -params.r)
     key = (family, params.m, params.r)
     tri = _TRIANGLES.get(key)
     if tri is None:
@@ -137,7 +143,7 @@ def whitney2(params: Params, n: int, k: int) -> LaurentPoly:
 
 
 def whitney2_verbatim(params: Params, n: int, k: int) -> LaurentPoly:
-    """Second-kind triangle generated with the -r weights (kept for the audit)."""
+    """Second-kind triangle generated with the -r weights: the entry at -r."""
     return get_triangle(FamilyId.W2_VERBATIM, params).value(n, k)
 
 
@@ -234,9 +240,10 @@ _INVERSES: dict[tuple[FamilyId, int, int], InverseMatrix] = {}
 
 def invert_unit_triangular(family: FamilyId, params: Params, nmax: int) -> InverseMatrix:
     """Forward-substitution inverse of a family triangle, filled up to nmax."""
-    key = (family, params.m, params.r)
+    source = get_triangle(family, params)
+    key = (source.family, source.params.m, source.params.r)
     inv = _INVERSES.get(key)
     if inv is None:
-        inv = _INVERSES[key] = InverseMatrix(get_triangle(family, params))
+        inv = _INVERSES[key] = InverseMatrix(source)
     inv._ensure(nmax)
     return inv

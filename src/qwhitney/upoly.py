@@ -137,10 +137,6 @@ class TruncSeries:
         self._order = order
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def from_upoly(cls, p: UPoly, order: int) -> "TruncSeries":
-        return cls(order, p.coeffs())
-
     @property
     def order(self) -> int:
         return self._order

@@ -17,6 +17,7 @@ from qwhitney.audit import (
     run_check,
 )
 from qwhitney.formulas import Variant
+from qwhitney.triangles import FamilyId, _WEIGHTS, clear_registry
 
 FAST_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
 
@@ -175,6 +176,22 @@ class TestRunCheck:
             return [(res.m, res.r, res.status, res.counterexample) for res in run_check(check_id, grid)]
 
         assert verdicts(reused) == verdicts(source)
+
+    def test_dowling_forms_see_a_wrong_form_triangle(self, monkeypatch):
+        grid = ParamGrid((1, 2), (0, 1), 4)
+        assert all(res.status == "pass" for res in run_check("C09_DOWLING_FORMS", grid))
+        # A form-2 triangle filled with a wrong diagonal weight, q^1 for q^0.
+        clear_registry()
+        monkeypatch.setitem(_WEIGHTS, FamilyId.W2_FORM2, lambda m, r, n, k: (1, m * k + r))
+        try:
+            results = run_check("C09_DOWLING_FORMS", grid)
+        finally:
+            clear_registry()
+        assert all(res.status == "fail" for res in results)
+        for res in results:
+            ce = res.counterexample
+            assert (ce.n, ce.k) == (1, 0)
+            assert ce.lhs - ce.rhs == q_power(1) - ONE
 
     def test_fail_results_carry_counterexamples(self):
         for check_id in EXPECTED_ERRATA:

@@ -18,7 +18,6 @@ from qwhitney.triangles import Params, dowling, lah, whitney2
 from qwhitney.formulas import (
     Variant,
     _div_factorial_base,
-    bracket_power,
     dowling_qi,
     lah_explicit,
     lah_horizontal,
@@ -49,7 +48,7 @@ class TestQDifference:
 
     def test_order_two_of_squared_bracket(self):
         # Oracle: direct three-term sum q [0]^2 - (1+q) [1]^2 + [2]^2.
-        got = q_difference(lambda x: bracket_power(x, 2), 2, 1)
+        got = q_difference(lambda x: rising_bracket_product(x, 0, 2), 2, 1)
         assert got == LaurentPoly({1: 1, 2: 1})
 
     def test_rejects_bad_args(self):
@@ -63,7 +62,7 @@ class TestQDifference:
     def test_linearity(self, k, h):
         alpha = q_bracket(3)
         beta = -q_power(-2)
-        f = lambda x: bracket_power(x + 1, 2)
+        f = lambda x: rising_bracket_product(x + 1, 0, 2)
         g = lambda x: q_bracket(x - 2)
         combined = lambda x: alpha * f(x) + beta * g(x)
         assert q_difference(combined, k, h) == alpha * q_difference(
@@ -89,7 +88,7 @@ class TestWhitney2Paths:
         assert whitney2_explicit(P10, 2, 2) == Q
         assert whitney2_explicit(P11, 1, 1) == Q
         for n in range(5):
-            assert whitney2_explicit(P21, n, 0) == bracket_power(1, n)
+            assert whitney2_explicit(P21, n, 0) == rising_bracket_product(1, 0, n)
 
     def test_egf_examples(self):
         # The explicit sum is also the exponential generating function coefficient.

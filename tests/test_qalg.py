@@ -266,6 +266,21 @@ class TestRendering:
         assert str(-Q + 1) == "1 - q"
         assert str(LaurentPoly({2: -4})) == "-4*q^2"
 
+    def test_latex_text(self):
+        p = LaurentPoly({-2: -1, -1: -1, 0: 2, 1: 3, 3: 1})
+        assert p.latex() == "-q^{-2} - q^{-1} + 2 + 3q + q^{3}"
+        assert ZERO.latex() == "0"
+        assert ONE.latex() == "1"
+        assert (-ONE).latex() == "-1"
+        assert Q.latex() == "q"
+        assert (-Q).latex() == "-q"
+        assert (-Q + 1).latex() == "1 - q"
+        assert LaurentPoly({1: -7}).latex() == "-7q"
+        assert LaurentPoly({2: -4}).latex() == "-4q^{2}"
+        assert LaurentPoly({-10: 1, 12: -1, 100: -25}).latex() == "q^{-10} - q^{12} - 25q^{100}"
+        big = 123456789012345678901
+        assert LaurentPoly({-30: big, 0: -big}).latex() == f"{big}q^{{-30}} - {big}"
+
     def test_json_round_trip(self):
         p = LaurentPoly({-2: -1, 0: 2, 5: 30})
         doc = p.to_json_dict()

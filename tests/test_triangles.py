@@ -13,6 +13,7 @@ from qwhitney.triangles import (
     NonUnitDiagonalError,
     Params,
     Triangle,
+    _WEIGHTS,
     dowling,
     get_triangle,
     invert_unit_triangular,
@@ -91,6 +92,15 @@ class TestWhitney2Verbatim:
         assert whitney2_verbatim(P11, 1, 1) == q_power(-1)
         assert whitney2_verbatim(P11, 1, 0) == q_bracket(-1)
         assert whitney2_verbatim(P11, 1, 1) != whitney2(P11, 1, 1)
+
+    def test_is_the_second_kind_triangle_at_minus_r(self):
+        assert FamilyId.W2_VERBATIM not in _WEIGHTS
+        for p in SMALL_GRID:
+            flipped = Params(p.m, -p.r)
+            assert get_triangle(FamilyId.W2_VERBATIM, p) is get_triangle(FamilyId.W2, flipped)
+            assert invert_unit_triangular(FamilyId.W2_VERBATIM, p, 2) is invert_unit_triangular(
+                FamilyId.W2, flipped, 2
+            )
 
 
 class TestScaledForms:
