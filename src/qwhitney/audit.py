@@ -22,7 +22,9 @@ from .qalg import LaurentPoly, ONE, ZERO, lp_eval, q_bracket, q_power
 from .triangles import (
     FamilyId,
     Params,
+    Triangle,
     dowling,
+    get_triangle,
     invert_unit_triangular,
     lah,
     whitney1_falling,
@@ -30,7 +32,7 @@ from .triangles import (
     whitney2_scaled,
     whitney2_verbatim,
 )
-from .upoly import UPoly, falling_factorial_u, rising_factorial_u, upoly_coeff
+from .upoly import falling_factorial_u, rising_factorial_u, upoly_coeff
 from .formulas import (
     Entry,
     Variant,
@@ -149,37 +151,30 @@ def _column_zero(rows: Iterable[int]) -> Iterable[tuple[int, int]]:
     return ((n, 0) for n in rows)
 
 
-def _row_expansion(
-    basis: Callable[[int], UPoly], entry: Entry, target: Callable[[int], UPoly], nmax: int
-) -> Counterexample | None:
-    """Rows n <= nmax satisfy sum_k basis(k) * entry(n, k) = target(n), compared
-    by coefficient of u^i (the cell (n, i)); both sides have degree <= n."""
-
-    @cache
-    def expansion(n: int) -> UPoly:
-        acc = UPoly.zero()
-        for k in range(n + 1):
-            acc = acc + basis(k) * entry(n, k)
-        return acc
-
-    return _first_mismatch(
-        _triangle(range(nmax + 1)),
-        (lambda n, i: expansion(n).coeff(i), lambda n, i: target(n).coeff(i)),
-    )
+def _delta(n: int, j: int) -> LaurentPoly:
+    """Entry (n, j) of the identity matrix."""
+    return ONE if n == j else ZERO
 
 
 # -- check functions ------------------------------------------------------
 # Convention: a counterexample's lhs is the value asserted by the statement
 # under test, rhs is the reference value from the canonical triangle.
+#
+# A horizontal generating function (C01, C17) expands each row of a triangle
+# in a falling basis of u: cell (n, i) is entry (n, i) of the product of the
+# triangle with the lower-triangular matrix of basis coefficients.
 
 
 def _check_w_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    return _row_expansion(
-        lambda k: falling_factorial_u(p.m, p.r, k),
-        lambda n, k: whitney2(p, n, k),
-        UPoly.u_power,
-        nmax,
-    )
+    def expansion(n: int, i: int) -> LaurentPoly:
+        return triangular_sum(
+            lambda a, b: whitney2(p, a, b),
+            lambda k, j: falling_factorial_u(p.m, p.r, k).coeff(j),
+            n,
+            i,
+        )
+
+    return _first_mismatch(_triangle(range(nmax + 1)), (expansion, _delta))
 
 
 def _rescaled(form: int, p: Params, n: int, k: int) -> LaurentPoly:
@@ -230,14 +225,24 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
     )
 
 
-# The explicit sum is also the exponential generating function coefficient
-# (C07), so both ids share this check; the cache computes it once per point.
 @cache
-def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+def _explicit_verdict(
+    evaluator: Callable[[Params, int, int], LaurentPoly], triangle: Triangle, nmax: int
+) -> Counterexample | None:
+    """An explicit-sum evaluator against the triangle it evaluates, rows <= nmax.
+
+    C07 reports the C06 verdict and C21, C22 the C20 one, so it is computed
+    once per triangle; a cleared registry fills new triangles, so no verdict
+    outlives the entries it judged.
+    """
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (lambda n, k: whitney2_explicit(p, n, k), lambda n, k: whitney2(p, n, k)),
+        (lambda n, k: evaluator(triangle.params, n, k), triangle.value),
     )
+
+
+def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+    return _explicit_verdict(whitney2_explicit, get_triangle(FamilyId.W2, p), nmax)
 
 
 def _check_w_rational_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -289,13 +294,10 @@ def _check_orthogonality(variant: Variant, p: Params, nmax: int) -> Counterexamp
     def second(n: int, k: int) -> LaurentPoly:
         return whitney2(p, n, k)
 
-    def delta(n: int, j: int) -> LaurentPoly:
-        return ONE if n == j else ZERO
-
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (lambda n, j: triangular_sum(first, second, n, j), delta),
-        (lambda n, j: triangular_sum(second, first, n, j), delta),
+        (lambda n, j: triangular_sum(first, second, n, j), _delta),
+        (lambda n, j: triangular_sum(second, first, n, j), _delta),
     )
 
 
@@ -331,11 +333,17 @@ def _check_dowling_qi(variant: Variant, p: Params, nmax: int) -> Counterexample 
 
 
 def _check_lah_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    return _row_expansion(
-        lambda k: falling_factorial_u(p.m, 0, k),
-        lambda n, k: lah(p, n, k),
-        lambda n: rising_factorial_u(p.m, 2 * p.r, n),
-        nmax,
+    def expansion(n: int, i: int) -> LaurentPoly:
+        return triangular_sum(
+            lambda a, b: lah(p, a, b),
+            lambda k, j: falling_factorial_u(p.m, 0, k).coeff(j),
+            n,
+            i,
+        )
+
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (expansion, lambda n, i: rising_factorial_u(p.m, 2 * p.r, n).coeff(i)),
     )
 
 
@@ -358,15 +366,8 @@ def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexa
     return _first_mismatch(_column_zero(range(nmax + 1)), (claimed, lambda n, k: lah(p, n, k)))
 
 
-# The explicit sum is also the q-Newton interpolation coefficient (C21) and
-# the exponential generating function coefficient (C22), so the three ids
-# share this check; the cache computes it once per point.
-@cache
 def _check_lah_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    return _first_mismatch(
-        _triangle(range(nmax + 1)),
-        (lambda n, k: lah_explicit(p, n, k), lambda n, k: lah(p, n, k)),
-    )
+    return _explicit_verdict(lah_explicit, get_triangle(FamilyId.LAH, p), nmax)
 
 
 def _check_w1_recurrence(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -537,26 +538,28 @@ class AuditReport:
     def __init__(self, grid: ParamGrid, results: list[CheckResult]):
         self.grid = grid
         self.results = results
+        groups: dict[tuple[str, Variant], list[CheckResult]] = {}
+        for res in results:
+            groups.setdefault((res.check, res.variant), []).append(res)
+        # The results of each (check, variant) present, in registry order.
+        self.groups = {
+            (check_id, variant): groups[check_id, variant]
+            for check_id, check in REGISTRY.items()
+            for variant in check.variants
+            if (check_id, variant) in groups
+        }
 
     @property
     def errata(self) -> list[str]:
         """Checks whose verbatim variant fails somewhere while corrected passes."""
-        out = []
-        for check_id, check in REGISTRY.items():
-            if len(check.variants) < 2:
-                continue
-            mine = [res for res in self.results if res.check == check_id]
-            if not mine:
-                continue
-            verbatim_fails = any(
-                res.status == "fail" for res in mine if res.variant is Variant.VERBATIM
-            )
-            corrected_ok = all(
-                res.status == "pass" for res in mine if res.variant is Variant.CORRECTED
-            )
-            if verbatim_fails and corrected_ok:
-                out.append(check_id)
-        return out
+        return [
+            check_id
+            for (check_id, variant), mine in self.groups.items()
+            if variant is Variant.VERBATIM
+            and len(REGISTRY[check_id].variants) == 2
+            and any(res.status == "fail" for res in mine)
+            and all(res.status == "pass" for res in self.groups.get((check_id, Variant.CORRECTED), ()))
+        ]
 
     @property
     def counts(self) -> dict[str, int]:
@@ -566,11 +569,11 @@ class AuditReport:
     @property
     def clean(self) -> bool:
         """True when every corrected and every single-variant result passes."""
-        for res in self.results:
-            if res.status == "fail":
-                if res.variant is Variant.CORRECTED or len(REGISTRY[res.check].variants) < 2:
-                    return False
-        return True
+        return not any(
+            res.status == "fail"
+            and (res.variant is Variant.CORRECTED or len(REGISTRY[res.check].variants) < 2)
+            for res in self.results
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -591,32 +594,18 @@ class AuditReport:
         lines = []
         width = max(len(cid) for cid in REGISTRY)
         lines.append(f"{'check':<{width}}  {'variant':<9}  pass  fail  first counterexample")
-        seen = [res.check for res in self.results]
-        for check_id in REGISTRY:
-            if check_id not in seen:
-                continue
-            for variant in REGISTRY[check_id].variants:
-                mine = [
-                    res
-                    for res in self.results
-                    if res.check == check_id and res.variant is variant
-                ]
-                if not mine:
-                    continue
-                passed = sum(1 for res in mine if res.status == "pass")
-                failed = len(mine) - passed
-                note = ""
-                for res in mine:
-                    if res.status == "fail":
-                        ce = res.counterexample
-                        note = (
-                            f"(m={res.m}, r={res.r}) n={ce.n} k={ce.k}: "
-                            f"{ce.lhs} != {ce.rhs}"
-                        )
-                        break
-                lines.append(
-                    f"{check_id:<{width}}  {variant.value:<9}  {passed:>4}  {failed:>4}  {note}"
-                )
+        for (check_id, variant), mine in self.groups.items():
+            passed = sum(1 for res in mine if res.status == "pass")
+            failed = len(mine) - passed
+            note = ""
+            for res in mine:
+                if res.status == "fail":
+                    ce = res.counterexample
+                    note = f"(m={res.m}, r={res.r}) n={ce.n} k={ce.k}: {ce.lhs} != {ce.rhs}"
+                    break
+            lines.append(
+                f"{check_id:<{width}}  {variant.value:<9}  {passed:>4}  {failed:>4}  {note}"
+            )
         lines.append("")
         lines.append(f"summary: {self.counts['pass']} pass, {self.counts['fail']} fail")
         errata = self.errata

@@ -104,7 +104,7 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class LaurentPoly:
     """An immutable Laurent polynomial in q with integer coefficients."""
 
-    __slots__ = ("_v", "_c", "_hash")
+    __slots__ = ("_v", "_c")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -125,7 +125,6 @@ class LaurentPoly:
             for e, c in clean.items():
                 coeffs[e - lo] = c
             self._v, self._c = lo, tuple(coeffs)
-        self._hash: int | None = None
 
     @classmethod
     def _raw(cls, v: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
@@ -133,7 +132,6 @@ class LaurentPoly:
         p = cls.__new__(cls)
         p._v = v
         p._c = coeffs
-        p._hash = None
         return p
 
     @classmethod
@@ -345,9 +343,10 @@ class LaurentPoly:
         return self._v == other._v and self._c == other._c
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._v, self._c))
-        return self._hash
+        # A constant equals its integer, so it hashes like that integer.
+        if self._v == 0 and len(self._c) < 2:
+            return hash(self.coeff(0))
+        return hash((self._v, self._c))
 
     def _render(self, times: str, lbrace: str, rbrace: str) -> str:
         """Terms in ascending exponent order; `times` joins a coefficient to

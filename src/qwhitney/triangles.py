@@ -55,6 +55,8 @@ class Triangle:
         self.family = family
         self.params = params
         self._rows: list[list[LaurentPoly]] = [[ONE]]
+        # Set by invert_unit_triangular, so the inverse lives as long as its source.
+        self.inverse: InverseMatrix | None = None
 
     def value(self, n: int, k: int) -> LaurentPoly:
         if n < 0 or k < 0 or k > n:
@@ -132,9 +134,9 @@ def get_triangle(family: FamilyId, params: Params) -> Triangle:
 
 
 def clear_registry() -> None:
-    """Drop all memoized triangles and inverses (test isolation hook)."""
+    """Drop every memoized triangle, and with it its inverse (test isolation
+    hook); later lookups fill new triangles from the current weight table."""
     _TRIANGLES.clear()
-    _INVERSES.clear()
 
 
 def whitney2(params: Params, n: int, k: int) -> LaurentPoly:
@@ -235,15 +237,11 @@ class InverseMatrix:
             self._rows.append(row)
 
 
-_INVERSES: dict[tuple[FamilyId, int, int], InverseMatrix] = {}
-
-
 def invert_unit_triangular(family: FamilyId, params: Params, nmax: int) -> InverseMatrix:
-    """Forward-substitution inverse of a family triangle, filled up to nmax."""
+    """Forward-substitution inverse of a family triangle, filled up to nmax and
+    kept on the triangle, so every name of that triangle shares it."""
     source = get_triangle(family, params)
-    key = (source.family, source.params.m, source.params.r)
-    inv = _INVERSES.get(key)
-    if inv is None:
-        inv = _INVERSES[key] = InverseMatrix(source)
-    inv._ensure(nmax)
-    return inv
+    if source.inverse is None:
+        source.inverse = InverseMatrix(source)
+    source.inverse._ensure(nmax)
+    return source.inverse

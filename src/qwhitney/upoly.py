@@ -42,9 +42,9 @@ class UPoly:
         return cls((ONE,))
 
     @classmethod
-    def u_power(cls, n: int, scalar: LaurentPoly = ONE) -> "UPoly":
-        """scalar * u^n."""
-        return cls((ZERO,) * n + (scalar,))
+    def u_power(cls, n: int) -> "UPoly":
+        """u^n."""
+        return cls((ZERO,) * n + (ONE,))
 
     def degree(self) -> int:
         """Degree in u; -1 for the zero polynomial."""

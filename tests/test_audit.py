@@ -21,6 +21,14 @@ from qwhitney.triangles import FamilyId, _WEIGHTS, clear_registry
 
 FAST_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
 
+
+def _bracket_one_up(monkeypatch, family):
+    """Refill the family from a wrong weight row, [b + 1] in place of [b]."""
+    row = _WEIGHTS[family]
+    monkeypatch.setitem(_WEIGHTS, family, lambda *mrnk: (row(*mrnk)[0], row(*mrnk)[1] + 1))
+    clear_registry()
+
+
 EXPECTED_ERRATA = [
     "C03_W_RECURRENCE_SIGN",
     "C11_LAH_VERTICAL",
@@ -192,6 +200,37 @@ class TestRunCheck:
             ce = res.counterexample
             assert (ce.n, ce.k) == (1, 0)
             assert ce.lhs - ce.rhs == q_power(1) - ONE
+
+    def test_explicit_verdicts_follow_a_cleared_registry(self, monkeypatch):
+        # C07, C21 and C22 report the C06/C20 verdict; a registry cleared
+        # after a weight change must not serve the verdict of the old triangle.
+        grid = ParamGrid((2,), (1,), 5)
+        ids = ["C06_W_EXPLICIT", "C07_W_EGF", "C20_LAH_EXPLICIT", "C21_LAH_NEWTON", "C22_LAH_EGF"]
+        assert [res.status for cid in ids for res in run_check(cid, grid)] == ["pass"] * 5
+        _bracket_one_up(monkeypatch, FamilyId.W2)
+        _bracket_one_up(monkeypatch, FamilyId.LAH)
+        try:
+            statuses = [res.status for cid in ids for res in run_check(cid, grid)]
+        finally:
+            clear_registry()
+        assert statuses == ["fail"] * 5
+
+    @pytest.mark.parametrize(
+        "family, check_id, lhs, rhs",
+        [
+            (FamilyId.W2, "C01_W_HORIZ_GF", "q", "0"),
+            (FamilyId.LAH, "C17_LAH_HORIZ_GF", "1 + q + q^2", "1 + q"),
+        ],
+    )
+    def test_horizontal_gf_counterexample(self, monkeypatch, family, check_id, lhs, rhs):
+        _bracket_one_up(monkeypatch, family)
+        try:
+            (res,) = run_check(check_id, ParamGrid((2,), (1,), 6))
+        finally:
+            clear_registry()
+        ce = res.counterexample
+        assert res.status == "fail"
+        assert (ce.n, ce.k, str(ce.lhs), str(ce.rhs)) == (1, 0, lhs, rhs)
 
     def test_fail_results_carry_counterexamples(self):
         for check_id in EXPECTED_ERRATA:

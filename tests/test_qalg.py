@@ -336,6 +336,12 @@ class TestStructure:
         assert LaurentPoly({0: 1, 1: 0}) == ONE
         assert hash(LaurentPoly({2: 3})) == hash(LaurentPoly({2: 3}))
 
+    def test_constants_hash_like_integers(self):
+        # A constant equals its integer, so sets and dicts must not tell them apart.
+        assert len({ONE, 1}) == 1
+        assert len({ZERO, 0}) == 1
+        assert {LaurentPoly.const(-7): 1}[-7] == 1
+
     @pytest.mark.parametrize("terms", [{True: 1}, {0: True}, {0: 1.0}], ids=["bool-e", "bool-c", "float-c"])
     def test_constructor_rejects_non_integers(self, terms):
         with pytest.raises(TypeError):

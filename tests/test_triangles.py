@@ -14,6 +14,7 @@ from qwhitney.triangles import (
     Params,
     Triangle,
     _WEIGHTS,
+    clear_registry,
     dowling,
     get_triangle,
     invert_unit_triangular,
@@ -281,6 +282,13 @@ class TestInversion:
         inv = invert_unit_triangular(FamilyId.W2, P10, 3)
         assert inv.value(2, 3) == ZERO
         assert inv.value(-1, 0) == ZERO
+
+    def test_cleared_registry_drops_inverses(self):
+        inv = invert_unit_triangular(FamilyId.W2, P11, 3)
+        assert invert_unit_triangular(FamilyId.W2, P11, 3) is inv
+        clear_registry()
+        fresh = invert_unit_triangular(FamilyId.W2, P11, 3)
+        assert fresh is not inv and fresh.source is get_triangle(FamilyId.W2, P11)
 
 
 # sha256 of `qwhitney table --family F --m M --r R --nmax 12 --format json`:
