@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from math import comb, factorial
 from typing import Callable, Iterable
+from weakref import WeakKeyDictionary
 
 from .qalg import LaurentPoly, ONE, ZERO, lp_eval, q_bracket, q_power
 from .triangles import (
@@ -225,20 +225,27 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
     )
 
 
-@cache
+# Explicit-sum verdicts per triangle, by (evaluator, nmax). Weakly keyed: a
+# triangle dropped by clear_registry() is freed together with its verdicts,
+# and the new triangle that replaces it is judged afresh.
+_EXPLICIT_VERDICTS: WeakKeyDictionary[Triangle, dict] = WeakKeyDictionary()
+
+
 def _explicit_verdict(
     evaluator: Callable[[Params, int, int], LaurentPoly], triangle: Triangle, nmax: int
 ) -> Counterexample | None:
     """An explicit-sum evaluator against the triangle it evaluates, rows <= nmax.
 
     C07 reports the C06 verdict and C21, C22 the C20 one, so it is computed
-    once per triangle; a cleared registry fills new triangles, so no verdict
-    outlives the entries it judged.
+    once per triangle.
     """
-    return _first_mismatch(
-        _triangle(range(nmax + 1)),
-        (lambda n, k: evaluator(triangle.params, n, k), triangle.value),
-    )
+    verdicts = _EXPLICIT_VERDICTS.setdefault(triangle, {})
+    if (evaluator, nmax) not in verdicts:
+        verdicts[evaluator, nmax] = _first_mismatch(
+            _triangle(range(nmax + 1)),
+            (lambda n, k: evaluator(triangle.params, n, k), triangle.value),
+        )
+    return verdicts[evaluator, nmax]
 
 
 def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:

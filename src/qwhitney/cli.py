@@ -11,15 +11,13 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
 from .qalg import EvalAtZeroError, LaurentPoly
 from .triangles import FamilyId, Params, dowling, get_triangle
 from .formulas import whitney2_rational_gf
 from .upoly import upoly_coeff
-
-_FORMATS = ("text", "csv", "json", "latex")
-
 
 def _family(name: str) -> FamilyId:
     try:
@@ -35,26 +33,14 @@ def _q_spec(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"q must be an integer or p/d fraction, got {text!r}")
 
 
-def _cell(value: LaurentPoly, q: Fraction | None):
-    if q is None:
-        return value
-    return value.eval_at(q)
-
-
-def _cell_str(value) -> str:
-    return str(value)
-
-
-def _cell_json(value):
-    if isinstance(value, LaurentPoly):
+def _cell(value: LaurentPoly, args: argparse.Namespace):
+    """One value as `args.format` writes it: the exact number at `--q` when
+    given, else the polynomial (a JSON term list, LaTeX, or plain text)."""
+    if args.q is not None:
+        return str(value.eval_at(args.q))
+    if args.format == "json":
         return value.to_json_dict()
-    return str(value)
-
-
-def _cell_latex(value) -> str:
-    if isinstance(value, LaurentPoly):
-        return value.latex()
-    return str(value)
+    return value.latex() if args.format == "latex" else str(value)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -70,94 +56,76 @@ def _write(text: str, output: str | None) -> None:
         raise SystemExit(2) from None
 
 
-def _csv_str(rows: list[list], header: list[str]) -> str:
+def _json(args: argparse.Namespace, doc: dict) -> str:
+    if args.q is not None:
+        doc["q"] = str(args.q)
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _csv(args: argparse.Namespace, header: list[str], records: Iterable[tuple]) -> str:
+    """One CSV line per (index, ..., value) record, the value as a quoted cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([*index, _cell(value, args)] for *index, value in records)
     return buf.getvalue()
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    params = Params(args.m, args.r)
-    rows = get_triangle(args.family, params).rows(args.nmax)
-    cells = [[_cell(v, args.q) for v in row] for row in rows]
+def _tabular(cols: str, rows: Iterable[str]) -> str:
+    body = " \\\\\n".join(rows)
+    return f"\\begin{{tabular}}{{{cols}}}\n{body} \\\\\n\\end{{tabular}}\n"
+
+
+def _grid(args: argparse.Namespace, rows: Iterable[Iterable[LaurentPoly]]) -> str:
+    """Rows of values as comma-separated text lines or as the rows of a LaTeX
+    tabular with nmax + 1 columns. Cells are formatted one row at a time,
+    inside the join, so only one row's formatted cells are held at once."""
     if args.format == "text":
-        text = "\n".join(", ".join(_cell_str(v) for v in row) for row in cells) + "\n"
-    elif args.format == "csv":
-        flat = [[n, k, _cell_str(v)] for n, row in enumerate(cells) for k, v in enumerate(row)]
-        text = _csv_str(flat, ["n", "k", "value"])
+        return "\n".join(", ".join(_cell(v, args) for v in row) for row in rows) + "\n"
+    cells = (" & ".join(f"${_cell(v, args)}$" for v in row) for row in rows)
+    return _tabular("r" * (args.nmax + 1), cells)
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    rows = get_triangle(args.family, Params(args.m, args.r)).rows(args.nmax)
+    if args.format == "csv":
+        records = ((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row))
+        text = _csv(args, ["n", "k", "value"], records)
     elif args.format == "json":
-        doc = {
-            "family": args.family.value,
-            "m": args.m,
-            "r": args.r,
-            "nmax": args.nmax,
-            "rows": [[_cell_json(v) for v in row] for row in cells],
-        }
-        if args.q is not None:
-            doc["q"] = str(args.q)
-        text = json.dumps(doc, indent=1) + "\n"
+        doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
+        text = _json(args, dict(doc, rows=[[_cell(v, args) for v in row] for row in rows]))
     else:
-        body = " \\\\\n".join(" & ".join(f"${_cell_latex(v)}$" for v in row) for row in cells)
-        cols = "r" * (args.nmax + 1)
-        text = f"\\begin{{tabular}}{{{cols}}}\n{body} \\\\\n\\end{{tabular}}\n"
+        text = _grid(args, rows)
     _write(text, args.output)
     return 0
 
 
 def cmd_dowling(args: argparse.Namespace) -> int:
     params = Params(args.m, args.r)
-    values = [_cell(dowling(params, args.form, n), args.q) for n in range(args.nmax + 1)]
-    if args.format == "text":
-        text = ", ".join(_cell_str(v) for v in values) + "\n"
-    elif args.format == "csv":
-        text = _csv_str([[n, _cell_str(v)] for n, v in enumerate(values)], ["n", "value"])
+    values = [dowling(params, args.form, n) for n in range(args.nmax + 1)]
+    if args.format == "csv":
+        text = _csv(args, ["n", "value"], enumerate(values))
     elif args.format == "json":
-        doc = {
-            "form": args.form,
-            "m": args.m,
-            "r": args.r,
-            "nmax": args.nmax,
-            "values": [_cell_json(v) for v in values],
-        }
-        if args.q is not None:
-            doc["q"] = str(args.q)
-        text = json.dumps(doc, indent=1) + "\n"
+        doc = {"form": args.form, "m": args.m, "r": args.r, "nmax": args.nmax}
+        text = _json(args, dict(doc, values=[_cell(v, args) for v in values]))
     else:
-        body = " & ".join(f"${_cell_latex(v)}$" for v in values)
-        text = (
-            f"\\begin{{tabular}}{{{'r' * len(values)}}}\n{body} \\\\\n\\end{{tabular}}\n"
-        )
+        text = _grid(args, [values])
     _write(text, args.output)
     return 0
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    params = Params(args.m, args.r)
-    series = whitney2_rational_gf(params, args.k, args.order)
+    series = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order)
     pairs = [(n, upoly_coeff(series, n)) for n in range(args.k, args.order + 1)]
-    if args.q is not None:
-        pairs = [(n, v.eval_at(args.q)) for n, v in pairs]
-    if args.format == "text":
-        text = "\n".join(f"({n}, {_cell_str(v)})" for n, v in pairs) + "\n"
-    elif args.format == "csv":
-        text = _csv_str([[n, _cell_str(v)] for n, v in pairs], ["n", "value"])
+    if args.format == "csv":
+        text = _csv(args, ["n", "value"], pairs)
     elif args.format == "json":
-        doc = {
-            "family": "w2",
-            "k": args.k,
-            "m": args.m,
-            "r": args.r,
-            "order": args.order,
-            "coefficients": [{"n": n, "value": _cell_json(v)} for n, v in pairs],
-        }
-        if args.q is not None:
-            doc["q"] = str(args.q)
-        text = json.dumps(doc, indent=1) + "\n"
+        doc = {"family": "w2", "k": args.k, "m": args.m, "r": args.r, "order": args.order}
+        text = _json(args, dict(doc, coefficients=[{"n": n, "value": _cell(v, args)} for n, v in pairs]))
+    elif args.format == "text":
+        text = "\n".join(f"({n}, {_cell(v, args)})" for n, v in pairs) + "\n"
     else:
-        body = " \\\\\n".join(f"{n} & ${_cell_latex(v)}$" for n, v in pairs)
-        text = f"\\begin{{tabular}}{{rl}}\n{body} \\\\\n\\end{{tabular}}\n"
+        text = _tabular("rl", (f"{n} & ${_cell(v, args)}$" for n, v in pairs))
     _write(text, args.output)
     return 0
 
@@ -217,21 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, nmax_help: str) -> None:
+    def add_common(p: argparse.ArgumentParser, nmax_help: str | None = None) -> None:
         p.add_argument("--m", type=int, required=True, help="step parameter, >= 1")
         p.add_argument("--r", type=int, required=True, help="shift parameter, any integer")
-        p.add_argument("--nmax", type=int, required=True, help=nmax_help)
-        p.add_argument("--format", choices=_FORMATS, default="text")
+        if nmax_help is not None:
+            p.add_argument("--nmax", type=int, required=True, help=nmax_help)
+        p.add_argument("--format", choices=("text", "csv", "json", "latex"), default="text")
         p.add_argument("--q", type=_q_spec, default=None, help="evaluate at q (integer or p/d)")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
     p_table = sub.add_parser("table", help="print triangle rows 0..nmax")
-    p_table.add_argument(
-        "--family",
-        type=_family,
-        required=True,
-        help="one of " + ", ".join(f.value for f in FamilyId),
-    )
+    families = ", ".join(f.value for f in FamilyId)
+    p_table.add_argument("--family", type=_family, required=True, help="one of " + families)
     add_common(p_table, "last row to print")
     p_table.set_defaults(fn=cmd_table)
 
@@ -243,11 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("expand", help="expand a column generating series")
     p_exp.add_argument("--k", type=int, required=True, help="column index, >= 0")
     p_exp.add_argument("--order", type=int, required=True, help="truncation order, >= k")
-    p_exp.add_argument("--m", type=int, required=True)
-    p_exp.add_argument("--r", type=int, required=True)
-    p_exp.add_argument("--format", choices=_FORMATS, default="text")
-    p_exp.add_argument("--q", type=_q_spec, default=None)
-    p_exp.add_argument("-o", "--output", default=None)
+    add_common(p_exp)
     p_exp.set_defaults(fn=cmd_expand)
 
     p_aud = sub.add_parser("audit", help="run the identity audit")

@@ -429,14 +429,6 @@ def q_bracket(n: int) -> LaurentPoly:
 
 
 @cache
-def _bracket_base(n: int, m: int) -> LaurentPoly:
-    # [n] with q replaced by q^m.
-    if n >= 0:
-        return LaurentPoly({m * e: 1 for e in range(n)})
-    return LaurentPoly({m * e: -1 for e in range(n, 0)})
-
-
-@cache
 def q_factorial_base(k: int, m: int) -> LaurentPoly:
     """The factorial [k]! in base q^m: the product of [i] at q -> q^m for i = 1..k."""
     if m < 1:
@@ -445,7 +437,8 @@ def q_factorial_base(k: int, m: int) -> LaurentPoly:
         raise ValueError(f"factorial index must be >= 0, got {k}")
     if k == 0:
         return ONE
-    return q_factorial_base(k - 1, m) * _bracket_base(k, m)
+    # [k] at q -> q^m is 1 + q^m + ... + q^(m(k-1)).
+    return q_factorial_base(k - 1, m) * LaurentPoly({m * e: 1 for e in range(k)})
 
 
 @cache

@@ -74,9 +74,6 @@ class Triangle:
         self._ensure(nmax)
         return [list(r) for r in self._rows[: nmax + 1]]
 
-    def __getitem__(self, nk: tuple[int, int]) -> LaurentPoly:
-        return self.value(*nk)
-
     def _ensure(self, n: int) -> None:
         while len(self._rows) <= n:
             self._rows.append(self._next_row(len(self._rows)))
@@ -213,9 +210,6 @@ class InverseMatrix:
             return ZERO
         self._ensure(n)
         return self._rows[n][k]
-
-    def __getitem__(self, nk: tuple[int, int]) -> LaurentPoly:
-        return self.value(*nk)
 
     def _ensure(self, n: int) -> None:
         t = self.source

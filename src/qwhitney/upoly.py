@@ -55,9 +55,6 @@ class UPoly:
             return self._coeffs[i]
         return ZERO
 
-    def coeffs(self) -> tuple[LaurentPoly, ...]:
-        return self._coeffs
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -71,14 +68,6 @@ class UPoly:
         for i, c in enumerate(b):
             out[i] = out[i] + c
         return UPoly(out)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: Union["UPoly", LaurentPoly, int]) -> "UPoly":
         if isinstance(other, (LaurentPoly, int)):

@@ -1,6 +1,8 @@
 """Tests for the identity registry, grid runner and report assembly."""
 
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from qwhitney.audit import (
     run_check,
 )
 from qwhitney.formulas import Variant
-from qwhitney.triangles import FamilyId, _WEIGHTS, clear_registry
+from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, get_triangle
 
 FAST_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
 
@@ -214,6 +216,18 @@ class TestRunCheck:
         finally:
             clear_registry()
         assert statuses == ["fail"] * 5
+
+    def test_explicit_verdicts_free_a_cleared_triangle(self):
+        # The kept verdict must not hold its triangle alive: a cleared
+        # registry frees the judged triangles, rows and inverse included.
+        clear_registry()
+        grid = ParamGrid((2,), (1,), 5)
+        for cid in ("C06_W_EXPLICIT", "C07_W_EGF", "C20_LAH_EXPLICIT", "C21_LAH_NEWTON"):
+            run_check(cid, grid)
+        refs = [weakref.ref(get_triangle(family, Params(2, 1))) for family in (FamilyId.W2, FamilyId.LAH)]
+        clear_registry()
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     @pytest.mark.parametrize(
         "family, check_id, lhs, rhs",

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import itertools
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,20 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+def readme_examples():
+    """(command, stdout) for each `qwhitney ...` line in the README's sh
+    blocks that is followed by `# ` output lines."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            shown = list(itertools.takewhile(lambda s: s.startswith("# "), lines[i + 1 :]))
+            if line.startswith("qwhitney ") and shown:
+                examples.append((line, "".join(s[2:] + "\n" for s in shown)))
+    return examples
 
 
 class TestTable:
@@ -66,6 +84,19 @@ class TestTable:
         for n, spec_row in enumerate(specialized):
             for k, spec in enumerate(spec_row.split(", ")):
                 assert Fraction(spec) == whitney1_falling(params, n, k).eval_at(point)
+
+    # sha256 of `qwhitney table --family w1 --m 2 --r -3 --nmax 12 --q=-1/3 --format FMT`:
+    # the evaluated cells in the nested JSON rows and in the LaTeX tabular.
+    Q_DIGESTS = {
+        "json": "620a7a3730967de7ed9ec494cfe3aa8e04f08c57715406fab8b565a3ecb7321f",
+        "latex": "0bc900dc7dacde0b30005e4ca0803fe6ea29d5382ac2a7704cfc017b577fbda6",
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "latex"])
+    def test_bytes_unchanged_at_q(self, fmt, capsys):
+        args = ["table", "--family", "w1", "--m", "2", "--r", "-3", "--nmax", "12", "--q=-1/3", "--format", fmt]
+        assert run_cli(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.Q_DIGESTS[fmt]
 
     def test_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -130,20 +161,49 @@ class TestDowling:
         doc = json.loads(capsys.readouterr().out)
         assert doc["form"] == 2 and len(doc["values"]) == 4
 
-    # sha256 of `qwhitney dowling --form F --m 2 --r -1 --nmax 8 --format json`:
-    # the output bytes are pinned, so a change to the shared row sum cannot
-    # silently alter them.
+    # sha256 of `qwhitney dowling --form F --m 2 --r -1 --nmax 8 --format FMT`,
+    # alone and with `--q=-1/3`: the output bytes are pinned in every format,
+    # so a change to the shared row sum or to the writers cannot silently
+    # alter them.
     DIGESTS = {
-        1: "4234cb9e3082dda368b37db13a76be2225bcab4f2f65f513b4866948a5777a4b",
-        2: "04a1e79e87ce2d7cb543b8d253cf232f859208fa582b482f2e6417b7acf1ac30",
-        3: "67ac9222d4b7e9efc4aadab38700abe45f14911c3c7250ffbab6575531cb5132",
+        1: {
+            ("text", None): "4168ae49a35cce4bb96698bbaa50e5523859e5ef2c3751b2d5813b8039c9df71",
+            ("text", "-1/3"): "9c45969520c62ba5ca6c94b9b28d15cb67b4cc80825d4cfd550cd72b3aef8d1b",
+            ("csv", None): "f70601cb8c1fc82be11ab8e423c206984a79fbf4923433d27e5e5145f8b5308a",
+            ("csv", "-1/3"): "3ab87c77ab0fc6acd8fd9d3e37f49e9752973f57dff6a7f1cc27fdb9fa79844b",
+            ("json", None): "4234cb9e3082dda368b37db13a76be2225bcab4f2f65f513b4866948a5777a4b",
+            ("json", "-1/3"): "8c7f512d7f0fa65c4dd8222711ff26d980c8af494594ad0fa74960a711a0f0fc",
+            ("latex", None): "9da042b7c38580ab24a8dc1baeabce2658186828baa2216063cf4ded16fc7603",
+            ("latex", "-1/3"): "00dfef948f6cc4c56c3475042953c0a81affafd6d984b86bed989eed0381f9f6",
+        },
+        2: {
+            ("text", None): "d0ae9008ff6cdc9b84b72cd16fd4b87672915519d1cc2440662fe5c2c7993ecc",
+            ("text", "-1/3"): "dcd1e390d788af47b95a0375bf0abd0ff3b4f639006caf22e6da8c3c17b839a0",
+            ("csv", None): "b0e9a07c7f8c1ca99bceca362ac39f838f13a69b52c75d3be850b373357d8ec9",
+            ("csv", "-1/3"): "b8f0c1a32ceac7e5a303df3ad7576555e225a3cae88534729838bed4a3ab63b4",
+            ("json", None): "04a1e79e87ce2d7cb543b8d253cf232f859208fa582b482f2e6417b7acf1ac30",
+            ("json", "-1/3"): "20c21258d88e9b9b55571a82d6d86c31f425f262702c965be0119410ab01ab33",
+            ("latex", None): "2c8e33c569b2eef9a0db17d2630ee841140030415f9e97e8210023f7ec2c4c51",
+            ("latex", "-1/3"): "206b9786c14f01cd1c49dfed58ce97fc0d4a0a220427d302e0572c61a032d2e0",
+        },
+        3: {
+            ("text", None): "4582fd4ad210835449ce21e69f242243fcf399406d02079e860749bd3778fe08",
+            ("text", "-1/3"): "fd46706c2bbff2efc9494a4bbf2db085cd6b926c0e5a62075b377969919555d2",
+            ("csv", None): "71e902bc65110aeca14ddd62a6dd3f2ce762e9fd667cb789d1b7597a390e877e",
+            ("csv", "-1/3"): "266a9afb7ceee5a9306c9c8c165a8c971807ce69f7d04718d48de76b3aca4e31",
+            ("json", None): "67ac9222d4b7e9efc4aadab38700abe45f14911c3c7250ffbab6575531cb5132",
+            ("json", "-1/3"): "f33a6faa22b213ee73d415adff5bb2a7663265c64d1d908cee309d401a54e39d",
+            ("latex", None): "e739a6dd3943740c333ceae627d4eabad2e7dc735e5fb86592dbba0859870f1d",
+            ("latex", "-1/3"): "ab5cf973745716676854096be70a239096200aa494c8f819d4413d048fd8f46f",
+        },
     }
 
     @pytest.mark.parametrize("form", [1, 2, 3])
     def test_bytes_unchanged(self, form, capsys):
-        args = ["dowling", "--form", str(form), "--m", "2", "--r", "-1", "--nmax", "8", "--format", "json"]
-        assert run_cli(args) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[form]
+        for (fmt, q), digest in self.DIGESTS[form].items():
+            args = ["dowling", "--form", str(form), "--m", "2", "--r", "-1", "--nmax", "8", "--format", fmt]
+            assert run_cli(args + ([f"--q={q}"] if q else [])) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (fmt, q)
 
 
 class TestExpand:
@@ -169,6 +229,25 @@ class TestExpand:
         for line in lines:
             n, value = line.split(",", 1)
             assert value.strip('"') == str(whitney2(params, int(n), 2))
+
+    # sha256 of `qwhitney expand --k 2 --order 9 --m 2 --r -1 --format FMT`,
+    # alone and with `--q=2/3`.
+    DIGESTS = {
+        ("text", None): "c9d0ccdc5db70696f229f74891b27427bcd4eb54294f417eaa005a25802e4c69",
+        ("text", "2/3"): "14cfc5a3217c2f298285db3405e45ebf43037dbacba2ccf9dc0ec610f709fa51",
+        ("csv", None): "b2c16d7b3b87d1ee8179ee071bf4765860383416413042752888c4c06b72f34a",
+        ("csv", "2/3"): "e396f1c1d4c2d193928a375d9d0ef4e6b3ecad2bc110d98563c85ad0d4062269",
+        ("json", None): "6e62ffc26ae7812fcb1c49f485b0f19a03f39bf19655ac9544baeb3d7e941f73",
+        ("json", "2/3"): "25c3361366353071b613d15edde41c2d139f06b09d9706c21e64aed4c54b224d",
+        ("latex", None): "c5810ed2f3839af29080b8ed068da32a3d7d71b20da359c6daa68bb5e9c3d6a5",
+        ("latex", "2/3"): "e2804593c876dcb7ec6df10d34f0d3f8dbaf5af413ae05dc49e7e0529f0178e0",
+    }
+
+    @pytest.mark.parametrize("fmt, q", list(DIGESTS))
+    def test_bytes_unchanged(self, fmt, q, capsys):
+        args = ["expand", "--k", "2", "--order", "9", "--m", "2", "--r", "-1", "--format", fmt]
+        assert run_cli(args + ([f"--q={q}"] if q else [])) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[fmt, q]
 
 
 class TestAudit:
@@ -240,3 +319,15 @@ class TestGridParsing:
     def test_rejects_unknown_key(self):
         with pytest.raises(ValueError):
             parse_grid("qmax=3")
+
+
+class TestReadme:
+    EXAMPLES = readme_examples()
+
+    def test_examples_found(self):
+        assert {shlex.split(command)[1] for command, _ in self.EXAMPLES} >= {"table", "dowling", "expand"}
+
+    @pytest.mark.parametrize("command, stdout", EXAMPLES, ids=[c.split()[1] for c, _ in EXAMPLES])
+    def test_example_output(self, command, stdout, capsys):
+        assert run_cli(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == stdout
