@@ -232,9 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A negative number given as its own token.  argparse reads one that is not
+# a plain integer or decimal, such as -1/3, as an option string.
+_NEGATIVE_VALUE = re.compile(r"-[0-9]")
+
+
+def _join_q_values(argv: list[str]) -> list[str]:
+    """`--q -1/3` rewritten as `--q=-1/3`, which argparse accepts."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--q" and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"--q={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_q_values(sys.argv[1:] if argv is None else argv))
     # Params and whitney2_rational_gf reject a bad --m and --order themselves.
     if args.command in ("table", "dowling") and args.nmax < 0:
         parser.error("--nmax must be >= 0")

@@ -23,10 +23,12 @@ The q-bracket [n] = (1 - q^n)/(1 - q) is defined for every integer n:
 from __future__ import annotations
 
 import re
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from operator import add, index, neg, sub
+from sys import byteorder
 from typing import Iterable, Mapping
 
 
@@ -70,6 +72,17 @@ def _trim(v: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, tuple[int, 
     return v + lo, tuple(coeffs[lo:hi])
 
 
+def _word_slot_min(width: int) -> array:
+    """A one-slot array of the narrowest signed machine word of at least
+    `width` bytes, holding that word's minimum -2^(W-1): its top bit alone."""
+    code = min((array(c).itemsize, c) for c in "bhilq" if array(c).itemsize >= width)[1]
+    return array(code, [-(1 << (8 * array(code).itemsize - 1))])
+
+
+# Indexed by a slot width of 0..8 bytes.
+_WORD_SLOT_MIN = [_word_slot_min(width) for width in range(9)]
+
+
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The signed convolution of two coefficient tuples by one big-integer product.
 
@@ -79,6 +92,16 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     operand's value at q = 2^W.  The product plus the result's bias then
     holds every result coefficient plus 2^(W-1) in its own slot, with no
     carry between slots.
+
+    A slot of at most 8 bytes is widened to a signed machine word of 1, 2,
+    4 or 8 bytes, and packing and unpacking run in C.  The operands are
+    packed as two's-complement words by `array`; XOR with the mask M that
+    holds 2^(W-1) in every slot turns a word c into c + 2^(W-1), so
+    (packed ^ M) - M is the operand's value at q = 2^W.  The same XOR takes
+    the biased product back to two's-complement words.  Bytes are in native
+    order throughout: on a big-endian host the packed integers are the
+    reversed polynomials, whose product is the reversed product.  Wider
+    slots are packed one coefficient at a time.
     """
     n_out = len(a) + len(b) - 1
     bits = (
@@ -88,6 +111,18 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         + 1
     )
     width = (bits + 7) // 8
+    if width <= 8:
+        slot_min = _WORD_SLOT_MIN[width]
+        code = slot_min.typecode
+        # One mask, the result's length, serves all three: no operand is longer,
+        # and the slots of M above an operand are XORed in and subtracted out.
+        mask = int.from_bytes((slot_min * n_out).tobytes(), byteorder)
+        prod = ((int.from_bytes(array(code, a).tobytes(), byteorder) ^ mask) - mask) * (
+            (int.from_bytes(array(code, b).tobytes(), byteorder) ^ mask) - mask
+        )
+        out = array(code)
+        out.frombytes(((prod + mask) ^ mask).to_bytes(n_out * slot_min.itemsize, byteorder))
+        return tuple(out)
     half = 1 << (8 * width - 1)
     slot = half.to_bytes(width, "little")
     packed = []

@@ -250,6 +250,25 @@ class TestExpand:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[fmt, q]
 
 
+class TestQValue:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--family", "w1", "--m", "2", "--r", "-3", "--nmax", "6"],
+            ["dowling", "--form", "1", "--m", "2", "--r", "1", "--nmax", "3"],
+            ["expand", "--k", "2", "--order", "6", "--m", "2", "--r", "-1"],
+        ],
+        ids=["table", "dowling", "expand"],
+    )
+    def test_spaced_negative_fraction(self, args, capsys):
+        # argparse alone rejects `--q -1/3` as a missing value.
+        assert run_cli(args + ["--q=-1/3", "--format", "csv"]) == 0
+        joined = capsys.readouterr().out
+        assert run_cli(args + ["--q", "-1/3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == joined
+        assert "/" in joined
+
+
 class TestAudit:
     def test_default_single_check_exit_zero(self, capsys):
         code = run_cli(["audit", "--grid", "m=1 r=0,1 nmax=3", "--check", "C06_W_EXPLICIT"])

@@ -52,6 +52,26 @@ wide_polys = st.dictionaries(
     st.integers(min_value=-1500, max_value=1500), coeffs, min_size=2, max_size=8
 ).map(LaurentPoly)
 brackets = st.integers(min_value=-300, max_value=300)
+# Operands whose largest coefficients sit near one word edge, +-2^7, +-2^15,
+# +-2^31 or +-2^63 (the word minimum -2^(W-1) among them), or stay within
+# +-3, mixed with small ones.  Each operand draws its own edge, so products
+# mix operand widths and fall in every word and on both sides of the 8-byte
+# limit of the word path.
+_WORD_EDGES = [1 << 7, 1 << 15, 1 << 31, 1 << 63]
+
+
+def _near_edge_polys(edge: int):
+    near = st.builds(
+        lambda d, s: s * (edge + d), st.integers(min_value=-2, max_value=2), st.sampled_from([1, -1])
+    )
+    return st.builds(
+        lambda lo, cs: LaurentPoly({lo + i: c for i, c in enumerate(cs)}),
+        st.integers(min_value=-5, max_value=5),
+        st.lists(st.one_of(st.integers(min_value=-3, max_value=3), near), min_size=2, max_size=12),
+    )
+
+
+word_edge_polys = st.sampled_from([1] + _WORD_EDGES).flatmap(_near_edge_polys)
 
 
 class TestBracket:
@@ -100,17 +120,26 @@ class TestMul:
         c = LaurentPoly({e: -(e % 4) - 1 for e in range(120)})
         assert a * c == naive_mul(a, c)
 
-    @pytest.mark.parametrize("bits", [62, 63, 64, 65, 66])
+    @pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63, 64, 65, 66])
     def test_slot_width_boundary(self, bits):
         # Largest-magnitude coefficients whose product bound needs `bits`
-        # bits per slot, on both sides of a 64-bit slot.
-        n = 4
+        # bits per slot, on both sides of the 8-, 16-, 32- and 64-bit words;
+        # past 64 bits the slots are packed one coefficient at a time.  With
+        # n = 7 the middle product coefficient is within 8/7 of the bound, so
+        # a slot one bit too narrow overflows.
+        n = 7
         ka = (bits - 1 - n.bit_length()) // 2
         kb = bits - 1 - n.bit_length() - ka
         for sa, sb in ((1, 1), (1, -1), (-1, -1)):
             a = LaurentPoly({e: sa * ((1 << ka) - 1) for e in range(n)})
             b = LaurentPoly({e: sb * ((1 << kb) - 1) for e in range(-2, n - 2)})
             assert a * b == naive_mul(a, b)
+
+    @given(word_edge_polys, word_edge_polys)
+    @example(LaurentPoly({0: -(1 << 7), 1: 1}), LaurentPoly({0: 3, 1: -(1 << 15)}))
+    @example(LaurentPoly({0: -(1 << 63), 1: 1 << 63}), LaurentPoly({0: -(1 << 31), 2: 1}))
+    def test_word_edge_coefficients_match_naive(self, a, b):
+        assert a * b == naive_mul(a, b)
 
     @given(polys, polys, polys)
     def test_ring_laws(self, a, b, c):
