@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
-from .qalg import LaurentPoly, ONE, ZERO, lp_eval, q_bracket, q_power
+from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_eval, q_bracket, q_power
 from .triangles import (
     FamilyId,
     Params,
@@ -65,6 +65,8 @@ class ParamGrid:
     def __post_init__(self) -> None:
         if not self.m_values or not self.r_values:
             raise ValueError("grid must have at least one m and one r value")
+        if not all(map(_is_int, (*self.m_values, *self.r_values, self.nmax))):
+            raise ValueError("grid values must be integers")
         if any(m < 1 for m in self.m_values):
             raise ValueError("all m values must be >= 1")
         if self.nmax < 2:
@@ -165,15 +167,15 @@ def _delta(n: int, j: int) -> LaurentPoly:
 # triangle with the lower-triangular matrix of basis coefficients.
 
 
-def _check_w_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    def expansion(n: int, i: int) -> LaurentPoly:
-        return triangular_sum(
-            lambda a, b: whitney2(p, a, b),
-            lambda k, j: falling_factorial_u(p.m, p.r, k).coeff(j),
-            n,
-            i,
-        )
+def _falling_expansion(triangle: Entry, m: int, s: int) -> Entry:
+    """Entry (n, i) of the triangle times the falling-basis coefficient matrix at shift s."""
+    return lambda n, i: triangular_sum(
+        triangle, lambda k, j: falling_factorial_u(m, s, k).coeff(j), n, i
+    )
 
+
+def _check_w_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+    expansion = _falling_expansion(lambda n, k: whitney2(p, n, k), p.m, p.r)
     return _first_mismatch(_triangle(range(nmax + 1)), (expansion, _delta))
 
 
@@ -340,17 +342,12 @@ def _check_dowling_qi(variant: Variant, p: Params, nmax: int) -> Counterexample 
 
 
 def _check_lah_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    def expansion(n: int, i: int) -> LaurentPoly:
-        return triangular_sum(
-            lambda a, b: lah(p, a, b),
-            lambda k, j: falling_factorial_u(p.m, 0, k).coeff(j),
-            n,
-            i,
-        )
-
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (expansion, lambda n, i: rising_factorial_u(p.m, 2 * p.r, n).coeff(i)),
+        (
+            _falling_expansion(lambda n, k: lah(p, n, k), p.m, 0),
+            lambda n, i: rising_factorial_u(p.m, 2 * p.r, n).coeff(i),
+        ),
     )
 
 

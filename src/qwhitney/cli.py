@@ -135,10 +135,11 @@ _GRID_KEYS = ("m", "r", "nmax")
 
 def parse_grid(spec: str | None) -> ParamGrid:
     """Parse 'm=1,2 r=-2..3 nmax=8' (separators ';' or whitespace); omitted
-    keys keep their defaults."""
+    keys keep their defaults, and a key may be given only once."""
     m_values = DEFAULT_GRID.m_values
     r_values = DEFAULT_GRID.r_values
     nmax = DEFAULT_GRID.nmax
+    seen: set[str] = set()
     if spec:
         for token in re.split(r"[;\s]+", spec.strip()):
             if not token:
@@ -148,6 +149,9 @@ def parse_grid(spec: str | None) -> ParamGrid:
             key, _, raw = token.partition("=")
             if key not in _GRID_KEYS:
                 raise ValueError(f"unknown grid key {key!r}")
+            if key in seen:
+                raise ValueError(f"grid key {key!r} given more than once")
+            seen.add(key)
             values: list[int] = []
             for part in raw.split(","):
                 if ".." in part:

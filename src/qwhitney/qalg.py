@@ -72,36 +72,32 @@ def _trim(v: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, tuple[int, 
     return v + lo, tuple(coeffs[lo:hi])
 
 
-def _word_slot_min(width: int) -> array:
-    """A one-slot array of the narrowest signed machine word of at least
-    `width` bytes, holding that word's minimum -2^(W-1): its top bit alone."""
-    code = min((array(c).itemsize, c) for c in "bhilq" if array(c).itemsize >= width)[1]
-    return array(code, [-(1 << (8 * array(code).itemsize - 1))])
-
-
-# Indexed by a slot width of 0..8 bytes.
-_WORD_SLOT_MIN = [_word_slot_min(width) for width in range(9)]
+@cache
+def _slot(width: int) -> tuple[str, int, bytes]:
+    """The codec of a slot of at least `width` bytes: the typecode of the
+    narrowest signed machine word that holds it ("" above 8 bytes), the
+    slot's size in bytes, and one slot holding 2^(W-1), its top bit alone."""
+    words = sorted((array(c).itemsize, c) for c in "bhilq" if array(c).itemsize >= width)
+    size, code = words[0] if words else (width, "")
+    return code, size, (1 << (8 * size - 1)).to_bytes(size, byteorder)
 
 
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The signed convolution of two coefficient tuples by one big-integer product.
 
     Slots are W bits, wide enough that every coefficient of the result lies
-    in [-2^(W-1), 2^(W-1)).  Each coefficient c is packed as c + 2^(W-1) in
-    its own slot; removing that bias from the packed integer leaves the
-    operand's value at q = 2^W.  The product plus the result's bias then
-    holds every result coefficient plus 2^(W-1) in its own slot, with no
-    carry between slots.
+    in [-2^(W-1), 2^(W-1)).  The operands are packed as W-bit two's-complement
+    slots.  XOR with the mask M that holds 2^(W-1) in every slot turns a slot
+    c into c + 2^(W-1), so (packed ^ M) - M is the operand's value at q = 2^W.
+    The product plus M holds each result coefficient plus 2^(W-1) in its own
+    slot, with no carry between slots, and the same XOR takes it back to
+    two's-complement slots.
 
-    A slot of at most 8 bytes is widened to a signed machine word of 1, 2,
-    4 or 8 bytes, and packing and unpacking run in C.  The operands are
-    packed as two's-complement words by `array`; XOR with the mask M that
-    holds 2^(W-1) in every slot turns a word c into c + 2^(W-1), so
-    (packed ^ M) - M is the operand's value at q = 2^W.  The same XOR takes
-    the biased product back to two's-complement words.  Bytes are in native
-    order throughout: on a big-endian host the packed integers are the
-    reversed polynomials, whose product is the reversed product.  Wider
-    slots are packed one coefficient at a time.
+    Only the byte codec depends on W: a slot of at most 8 bytes is widened to
+    a signed machine word of 1, 2, 4 or 8 bytes and converted by `array` in
+    C, a wider one coefficient by coefficient by `int.to_bytes`/`from_bytes`.
+    Bytes are in native order: on a big-endian host the packed integers are
+    the reversed polynomials, whose product is the reversed product.
     """
     n_out = len(a) + len(b) - 1
     bits = (
@@ -110,30 +106,20 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         + min(len(a), len(b)).bit_length()
         + 1
     )
-    width = (bits + 7) // 8
-    if width <= 8:
-        slot_min = _WORD_SLOT_MIN[width]
-        code = slot_min.typecode
-        # One mask, the result's length, serves all three: no operand is longer,
-        # and the slots of M above an operand are XORed in and subtracted out.
-        mask = int.from_bytes((slot_min * n_out).tobytes(), byteorder)
-        prod = ((int.from_bytes(array(code, a).tobytes(), byteorder) ^ mask) - mask) * (
-            (int.from_bytes(array(code, b).tobytes(), byteorder) ^ mask) - mask
-        )
-        out = array(code)
-        out.frombytes(((prod + mask) ^ mask).to_bytes(n_out * slot_min.itemsize, byteorder))
-        return tuple(out)
-    half = 1 << (8 * width - 1)
-    slot = half.to_bytes(width, "little")
-    packed = []
-    for coeffs in (a, b):
-        data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-        packed.append(int.from_bytes(data, "little") - int.from_bytes(slot * len(coeffs), "little"))
-    prod = packed[0] * packed[1] + int.from_bytes(slot * n_out, "little")
-    data = prod.to_bytes(n_out * width, "little")
-    return tuple(
-        [int.from_bytes(data[i : i + width], "little") - half for i in range(0, n_out * width, width)]
-    )
+    code, size, top = _slot((bits + 7) // 8)
+    if code:
+        pa, pb = array(code, a).tobytes(), array(code, b).tobytes()
+    else:
+        pa, pb = (b"".join([c.to_bytes(size, byteorder, signed=True) for c in x]) for x in (a, b))
+    # One mask, the result's length, serves all three: no operand is longer,
+    # and the slots of M above an operand are XORed in and subtracted out.
+    mask = int.from_bytes(top * n_out, byteorder)
+    x, y = (int.from_bytes(pa, byteorder) ^ mask) - mask, (int.from_bytes(pb, byteorder) ^ mask) - mask
+    data = ((x * y + mask) ^ mask).to_bytes(n_out * size, byteorder)
+    if code:
+        return tuple(array(code, data))
+    starts = range(0, len(data), size)
+    return tuple([int.from_bytes(data[i : i + size], byteorder, signed=True) for i in starts])
 
 
 class LaurentPoly:

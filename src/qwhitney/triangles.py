@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .qalg import LaurentPoly, ONE, ZERO, q_power
+from .qalg import LaurentPoly, ONE, ZERO, _is_int, q_power
 
 
 class NonUnitDiagonalError(ArithmeticError):
@@ -30,9 +30,9 @@ class Params:
     r: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if not isinstance(self.r, int):
+        if not _is_int(self.r):
             raise ValueError(f"r must be an integer, got {self.r!r}")
 
 

@@ -9,7 +9,7 @@ arithmetic is exact modulo u^(order+1).
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .qalg import LaurentPoly, ONE, ZERO, q_bracket, q_power
 
@@ -23,6 +23,15 @@ def _trim(coeffs: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
     while d and coeffs[d - 1].is_zero():
         d -= 1
     return coeffs[:d]
+
+
+def _product_coeff(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], n: int) -> LaurentPoly:
+    """Coefficient n of the product of u-coefficient sequences a and b, skipping zero operands."""
+    acc = ZERO
+    for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
+        if a[i] and b[n - i]:
+            acc = acc + a[i] * b[n - i]
+    return acc
 
 
 class UPoly:
@@ -75,16 +84,7 @@ class UPoly:
         if not isinstance(other, UPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return UPoly.zero()
-        out: list[LaurentPoly] = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-        return UPoly(out)
+        return UPoly([_product_coeff(a, b, n) for n in range(len(a) + len(b) - 1)])
 
     __rmul__ = __mul__
 
@@ -142,15 +142,8 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         order = min(self._order, other._order)
-        out = [ZERO] * (order + 1)
-        for i, ca in enumerate(self._coeffs[: order + 1]):
-            if ca.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                cb = other._coeffs[j]
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-        return TruncSeries(order, out)
+        a, b = self._coeffs, other._coeffs
+        return TruncSeries(order, [_product_coeff(a, b, n) for n in range(order + 1)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
@@ -205,12 +198,8 @@ def useries_inverse(s: TruncSeries) -> TruncSeries:
     inv0 = c0.unit_inverse()
     out = [inv0] + [ZERO] * s.order
     for n in range(1, s.order + 1):
-        acc = ZERO
-        for i in range(1, n + 1):
-            si = s.coeff(i)
-            if not si.is_zero():
-                acc = acc + si * out[n - i]
-        out[n] = -(inv0 * acc)
+        # out[n] is still ZERO, so the sum runs over s[i] out[n-i] for i >= 1.
+        out[n] = -(inv0 * _product_coeff(s.coeffs(), out, n))
     return TruncSeries(s.order, out)
 
 

@@ -98,6 +98,16 @@ class TestParamGrid:
         with pytest.raises(ValueError):
             ParamGrid((1,), (0,), 1)
 
+    @pytest.mark.parametrize(
+        "m_values, r_values, nmax",
+        [((True,), (0,), 2), ((1,), (False,), 4), ((1,), (0,), True)],
+        ids=["bool-m", "bool-r", "bool-nmax"],
+    )
+    def test_rejects_bool(self, m_values, r_values, nmax):
+        # Accepted, a bool would reach the JSON report as true or false.
+        with pytest.raises(ValueError):
+            ParamGrid(m_values, r_values, nmax)
+
     def test_values_sorted_deduplicated(self):
         grid = ParamGrid((3, 1, 3), (2, -1, 2), 4)
         assert grid.m_values == (1, 3)

@@ -230,24 +230,34 @@ class TestExpand:
             n, value = line.split(",", 1)
             assert value.strip('"') == str(whitney2(params, int(n), 2))
 
-    # sha256 of `qwhitney expand --k 2 --order 9 --m 2 --r -1 --format FMT`,
-    # alone and with `--q=2/3`.
+    # The argument sets of the digests below: `wide` reaches Kronecker slots
+    # wider than 8 bytes (39 products), so its digest pins that byte codec.
+    ARGS = {
+        "short": ["--k", "2", "--order", "9", "--m", "2", "--r", "-1"],
+        "wide": ["--k", "3", "--order", "30", "--m", "3", "--r", "3"],
+    }
+    # sha256 of `qwhitney expand ARGS --format FMT`, alone and with `--q=Q`.
     DIGESTS = {
-        ("text", None): "c9d0ccdc5db70696f229f74891b27427bcd4eb54294f417eaa005a25802e4c69",
-        ("text", "2/3"): "14cfc5a3217c2f298285db3405e45ebf43037dbacba2ccf9dc0ec610f709fa51",
-        ("csv", None): "b2c16d7b3b87d1ee8179ee071bf4765860383416413042752888c4c06b72f34a",
-        ("csv", "2/3"): "e396f1c1d4c2d193928a375d9d0ef4e6b3ecad2bc110d98563c85ad0d4062269",
-        ("json", None): "6e62ffc26ae7812fcb1c49f485b0f19a03f39bf19655ac9544baeb3d7e941f73",
-        ("json", "2/3"): "25c3361366353071b613d15edde41c2d139f06b09d9706c21e64aed4c54b224d",
-        ("latex", None): "c5810ed2f3839af29080b8ed068da32a3d7d71b20da359c6daa68bb5e9c3d6a5",
-        ("latex", "2/3"): "e2804593c876dcb7ec6df10d34f0d3f8dbaf5af413ae05dc49e7e0529f0178e0",
+        ("short", "text", None): "c9d0ccdc5db70696f229f74891b27427bcd4eb54294f417eaa005a25802e4c69",
+        ("short", "text", "2/3"): "14cfc5a3217c2f298285db3405e45ebf43037dbacba2ccf9dc0ec610f709fa51",
+        ("short", "csv", None): "b2c16d7b3b87d1ee8179ee071bf4765860383416413042752888c4c06b72f34a",
+        ("short", "csv", "2/3"): "e396f1c1d4c2d193928a375d9d0ef4e6b3ecad2bc110d98563c85ad0d4062269",
+        ("short", "json", None): "6e62ffc26ae7812fcb1c49f485b0f19a03f39bf19655ac9544baeb3d7e941f73",
+        ("short", "json", "2/3"): "25c3361366353071b613d15edde41c2d139f06b09d9706c21e64aed4c54b224d",
+        ("short", "latex", None): "c5810ed2f3839af29080b8ed068da32a3d7d71b20da359c6daa68bb5e9c3d6a5",
+        ("short", "latex", "2/3"): "e2804593c876dcb7ec6df10d34f0d3f8dbaf5af413ae05dc49e7e0529f0178e0",
+        ("wide", "json", None): "8ce167ab482b320bdd78cfdc0614a1de4d6c47b38d7202bc85a6bd03a3ce8a8b",
     }
 
-    @pytest.mark.parametrize("fmt, q", list(DIGESTS))
-    def test_bytes_unchanged(self, fmt, q, capsys):
-        args = ["expand", "--k", "2", "--order", "9", "--m", "2", "--r", "-1", "--format", fmt]
-        assert run_cli(args + ([f"--q={q}"] if q else [])) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[fmt, q]
+    @pytest.mark.parametrize(
+        "args, fmt, q",
+        list(DIGESTS),
+        ids=[f"{fmt}-{q}" if args == "short" else f"{args}-{fmt}-{q}" for args, fmt, q in DIGESTS],
+    )
+    def test_bytes_unchanged(self, args, fmt, q, capsys):
+        argv = ["expand", *self.ARGS[args], "--format", fmt] + ([f"--q={q}"] if q else [])
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[args, fmt, q]
 
 
 class TestQValue:
@@ -338,6 +348,16 @@ class TestGridParsing:
     def test_rejects_unknown_key(self):
         with pytest.raises(ValueError):
             parse_grid("qmax=3")
+
+    @pytest.mark.parametrize("spec", ["m=1 m=2 nmax=3", "r=0;r=1", "nmax=3 nmax=4"])
+    def test_rejects_repeated_key(self, spec):
+        # A repeated key used to keep only its last values, silently dropping a slice of the grid.
+        with pytest.raises(ValueError, match="more than once"):
+            parse_grid(spec)
+
+    def test_repeated_key_exits_two(self, capsys):
+        assert run_cli(["audit", "--grid", "m=1 m=2 nmax=3", "--quiet"]) == 2
+        assert "bad --grid" in capsys.readouterr().err
 
 
 class TestReadme:

@@ -120,11 +120,14 @@ class TestMul:
         c = LaurentPoly({e: -(e % 4) - 1 for e in range(120)})
         assert a * c == naive_mul(a, c)
 
-    @pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63, 64, 65, 66])
+    @pytest.mark.parametrize(
+        "bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63, 64, 65, 66, 72, 73, 128, 129]
+    )
     def test_slot_width_boundary(self, bits):
         # Largest-magnitude coefficients whose product bound needs `bits`
         # bits per slot, on both sides of the 8-, 16-, 32- and 64-bit words;
-        # past 64 bits the slots are packed one coefficient at a time.  With
+        # past 64 bits the slots are packed one coefficient at a time, and
+        # 72/73 and 128/129 bits straddle the 9/10- and 16/17-byte slots.  With
         # n = 7 the middle product coefficient is within 8/7 of the bound, so
         # a slot one bit too narrow overflows.
         n = 7

@@ -44,6 +44,12 @@ class TestParams:
     def test_negative_r_allowed(self):
         assert Params(2, -5).r == -5
 
+    @pytest.mark.parametrize("m, r", [(True, 0), (1, False), (2, True)])
+    def test_rejects_bool(self, m, r):
+        # Params(True, 0) == Params(1, 0), so an accepted bool could end up in a registered triangle.
+        with pytest.raises(ValueError):
+            Params(m, r)
+
 
 class TestWhitney2:
     def test_examples(self):

@@ -84,6 +84,46 @@ class TestFactorials:
                         assert got == want, (m, s, n, t0)
 
 
+# Coefficients in u, ZERO often, so that operands have zero interior coefficients.
+laurent = st.one_of(
+    st.just(ZERO), st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=3).map(LaurentPoly)
+)
+coeff_lists = st.lists(laurent, max_size=7)
+
+
+def naive_product(a, b, length):
+    """The first `length` coefficients of the product of coefficient lists a
+    and b, by the schoolbook double loop over every pair."""
+    out = [ZERO] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+class TestProductsMatchNaive:
+    """UPoly and series products and the series inverse against the double loop."""
+
+    @given(coeff_lists, coeff_lists)
+    def test_upoly(self, a, b):
+        assert UPoly(a) * UPoly(b) == UPoly(naive_product(a, b, len(a) + len(b)))
+
+    @given(st.integers(0, 6), coeff_lists, st.integers(0, 6), coeff_lists)
+    def test_series(self, order_a, a, order_b, b):
+        sa, sb = TruncSeries(order_a, a), TruncSeries(order_b, b)
+        order = min(order_a, order_b)
+        assert sa * sb == TruncSeries(order, naive_product(sa.coeffs(), sb.coeffs(), order + 1))
+
+    @given(st.integers(-3, 3), st.sampled_from([1, -1]), st.integers(0, 6), coeff_lists)
+    def test_inverse(self, e, sign, order, tail):
+        s = TruncSeries(order, [sign * q_power(e)] + tail)
+        inv = useries_inverse(s)
+        identity = TruncSeries(order, [ONE])
+        assert TruncSeries(order, naive_product(s.coeffs(), inv.coeffs(), order + 1)) == identity
+        assert s * inv == identity
+
+
 class TestUPolyArithmetic:
     def test_coeff_out_of_range(self):
         assert upoly_coeff(UPoly.one(), 5) == ZERO
