@@ -21,6 +21,7 @@ from weakref import WeakKeyDictionary
 from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_eval, q_bracket, q_power
 from .triangles import (
     FamilyId,
+    NonUnitDiagonalError,
     Params,
     Triangle,
     dowling,
@@ -311,13 +312,17 @@ def _check_orthogonality(variant: Variant, p: Params, nmax: int) -> Counterexamp
 
 
 def _check_inverse_relations(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    inv_first = invert_unit_triangular(FamilyId.W1_FALLING, p, nmax)
-    inv_second = invert_unit_triangular(FamilyId.W2, p, nmax)
-    return _first_mismatch(
-        _triangle(range(nmax + 1)),
-        (inv_first.value, lambda n, k: whitney2(p, n, k)),
-        (inv_second.value, lambda n, k: whitney1_falling(p, n, k)),
-    )
+    # A diagonal entry that is not +-q^e has no inverse: the rows before it are
+    # compared, then its cell is reported with it as lhs, the partner's as rhs.
+    pairs = []
+    for family, partner in ((FamilyId.W1_FALLING, whitney2), (FamilyId.W2, whitney1_falling)):
+        try:
+            inverse = invert_unit_triangular(family, p, nmax)
+        except NonUnitDiagonalError as err:
+            earlier = _check_inverse_relations(variant, p, err.n - 1)
+            return earlier or Counterexample(err.n, err.n, err.entry, partner(p, err.n, err.n))
+        pairs.append((inverse.value, lambda n, k, partner=partner: partner(p, n, k)))
+    return _first_mismatch(_triangle(range(nmax + 1)), *pairs)
 
 
 def _check_lah_composition(variant: Variant, p: Params, nmax: int) -> Counterexample | None:

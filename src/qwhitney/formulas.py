@@ -19,7 +19,8 @@ from .qalg import (
     LaurentPoly,
     ONE,
     ZERO,
-    lp_exact_div,
+    lp_div_bracket,
+    lp_dot,
     q_binomial_base,
     q_bracket,
     q_power,
@@ -60,15 +61,11 @@ def rising_bracket_product(c: int, m: int, n: int) -> LaurentPoly:
 def _div_factorial_base(p: LaurentPoly, k: int, m: int) -> LaurentPoly:
     """Exact division by [k]! in base q^m times [m]^k.
 
-    That divisor equals the product of (1 - q^(m i)) for i = 1..k divided by
-    (1 - q)^k, so the quotient is obtained by one binomial power multiply
-    followed by k linear-time binomial divisions, each exact.
+    [i] in base q^m times [m] is [m i], so that divisor is the product of
+    [m i] for i = 1..k, and the quotient is k exact bracket divisions.
     """
-    if k == 0 or p.is_zero():
-        return p
-    p = p * (ONE - q_power(1)) ** k
     for i in range(1, k + 1):
-        p = lp_exact_div(p, ONE - q_power(m * i))
+        p = lp_div_bracket(p, m * i)
     return p
 
 
@@ -78,11 +75,10 @@ def q_difference(f: GridFunction, k: int, h: int) -> LaurentPoly:
         raise ValueError("order must be >= 0")
     if h < 1:
         raise ValueError("step must be >= 1")
-    total = ZERO
-    for j in range(k + 1):
-        term = q_power(h * comb(k - j, 2)) * q_binomial_base(k, j, h) * f(j * h)
-        total = total - term if (k - j) % 2 else total + term
-    return total
+    return lp_dot(
+        ((q_power(h * comb(k - j, 2)) * q_binomial_base(k, j, h), f(j * h)) for j in range(k + 1)),
+        (-1 if (k - j) % 2 else 1 for j in range(k + 1)),
+    )
 
 
 def whitney2_explicit(params: Params, n: int, k: int) -> LaurentPoly:
@@ -106,13 +102,13 @@ def _vertical(c: Callable[[int], int], m: int, entry: Entry, n: int, k: int) -> 
 
     The products shed while unrolling are built as one running product.
     """
-    total = ZERO
+    terms = []
     shed = ONE
     for j in range(n, k - 1, -1):
-        total = total + q_power(m * k + c(j + 1)) * shed * entry(j, k)
+        terms.append((q_power(m * k + c(j + 1)) * shed, entry(j, k)))
         if j > k:
-            shed = shed * q_bracket(m * (k + 1) + c(j + 1))
-    return total
+            shed = shed.mul_bracket(m * (k + 1) + c(j + 1))
+    return lp_dot(terms)
 
 
 def whitney2_vertical(params: Params, n: int, k: int) -> LaurentPoly:
@@ -128,14 +124,13 @@ def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
     The weight ratios are assembled as explicit running products, never by
     polynomial division.
     """
-    total = ZERO
+    terms = []
     ratio = ONE
     for j in range(n - k + 1):
-        term = q_power(-c - m * (k + j)) * ratio * entry(n + 1, k + j + 1)
-        total = total - term if j % 2 else total + term
+        terms.append((q_power(-c - m * (k + j)) * ratio, entry(n + 1, k + j + 1)))
         h = k + j + 1
-        ratio = ratio * (q_power(-c - m * h + m) * q_bracket(m * h + c))
-    return total
+        ratio = (q_power(-c - m * h + m) * ratio).mul_bracket(m * h + c)
+    return lp_dot(terms, (-1 if j % 2 else 1 for j in range(n - k + 1)))
 
 
 def whitney2_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
@@ -169,11 +164,10 @@ def lah_vertical(variant: Variant, params: Params, n: int, k: int) -> LaurentPol
         return _vertical(lambda i: 2 * r + (i - 1) * m, m, lambda a, b: lah(params, a, b), n, k)
     prod = ONE
     for i in range(k + 1):
-        prod = prod * q_bracket(2 * r + (k + 1) * m + (n - i) * m)
-    total = ZERO
-    for j in range(k, n + 1):
-        total = total + q_power(2 * r + m * k + m * (n - j)) * prod * lah(params, j, k)
-    return total
+        prod = prod.mul_bracket(2 * r + (k + 1) * m + (n - i) * m)
+    return lp_dot(
+        (q_power(2 * r + m * k + m * (n - j)) * prod, lah(params, j, k)) for j in range(k, n + 1)
+    )
 
 
 def lah_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
@@ -201,11 +195,8 @@ def whitney2_rational_gf(params: Params, k: int, order: int) -> TruncSeries:
 
 def triangular_sum(left: Entry, right: Entry, n: int, j: int) -> LaurentPoly:
     """Entry (n, j) of the product of two lower-triangular matrices: the sum
-    of left(n, k) * right(k, j) over k = j..n."""
-    total = ZERO
-    for k in range(j, n + 1):
-        total = total + left(n, k) * right(k, j)
-    return total
+    of left(n, k) * right(k, j) over k = j..n, by one `lp_dot`."""
+    return lp_dot((left(n, k), right(k, j)) for k in range(j, n + 1))
 
 
 def lah_via_composition(variant: Variant, params: Params, n: int, j: int) -> LaurentPoly:

@@ -26,7 +26,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, index, neg, sub
 from sys import byteorder
 from typing import Iterable, Mapping
@@ -82,50 +82,68 @@ def _slot(width: int) -> tuple[str, int, bytes]:
     return code, size, (1 << (8 * size - 1)).to_bytes(size, byteorder)
 
 
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The signed convolution of two coefficient tuples by one big-integer product.
+def _kronecker(
+    terms: list[tuple[int, int, "LaurentPoly", "LaurentPoly"]],
+) -> tuple[int, tuple[int, ...]]:
+    """The sum of s * q^v * a * b over the terms (s, v, a, b), s = +-1 and a, b
+    nonzero, as a canonical (valuation, coefficients) pair, by one big-integer
+    sum of products; a product is the one-term case.
 
-    Slots are W bits, wide enough that every coefficient of the result lies
-    in [-2^(W-1), 2^(W-1)).  The operands are packed as W-bit two's-complement
-    slots.  XOR with the mask M that holds 2^(W-1) in every slot turns a slot
-    c into c + 2^(W-1), so (packed ^ M) - M is the operand's value at q = 2^W.
-    The product plus M holds each result coefficient plus 2^(W-1) in its own
-    slot, with no carry between slots, and the same XOR takes it back to
-    two's-complement slots.
+    With h(a) the bit length of a's largest magnitude (kept on the value), a
+    product's coefficients are below 2^(h(a) + h(b) + bit_length(min(len a,
+    len b))), and a sum of N products below that times 2^bit_length(N - 1) for
+    the widest product; W-bit slots add a sign bit.  Operands are packed as
+    W-bit two's-complement slots.  XOR with the mask M, 2^(W-1) in each of the
+    sum's slots, turns a slot c into c + 2^(W-1), so (packed ^ M) - M is the
+    operand's value at q = 2^W (a monomial's is its coefficient).  Shifted by
+    their valuations' offsets, the products add up to the sum's value, which
+    plus M holds each coefficient plus 2^(W-1) in its own slot with no carry;
+    the same XOR takes it back to two's-complement slots for one unpack.
 
-    Only the byte codec depends on W: a slot of at most 8 bytes is widened to
-    a signed machine word of 1, 2, 4 or 8 bytes and converted by `array` in
-    C, a wider one coefficient by coefficient by `int.to_bytes`/`from_bytes`.
+    Only the byte codec depends on W: a slot of up to 8 bytes is a machine
+    word converted by `array` in C, a wider one goes through `int.to_bytes`.
     Bytes are in native order: on a big-endian host the packed integers are
-    the reversed polynomials, whose product is the reversed product.
+    the reversed polynomials, so each product is placed from the sum's top.
     """
-    n_out = len(a) + len(b) - 1
-    bits = (
-        max(max(a), -min(a)).bit_length()
-        + max(max(b), -min(b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    code, size, top = _slot((bits + 7) // 8)
-    if code:
-        pa, pb = array(code, a).tobytes(), array(code, b).tobytes()
-    else:
-        pa, pb = (b"".join([c.to_bytes(size, byteorder, signed=True) for c in x]) for x in (a, b))
-    # One mask, the result's length, serves all three: no operand is longer,
-    # and the slots of M above an operand are XORed in and subtracted out.
+    v0, end, bits = terms[0][1], 0, 0
+    for _, v, a, b in terms:
+        for p in (a, b):
+            if not p._h:
+                p._h = max(max(p._c), -min(p._c)).bit_length()
+        la, lb = len(a._c), len(b._c)
+        v0, end = min(v0, v), max(end, v + la + lb - 1)
+        bits = max(bits, a._h + b._h + min(la, lb).bit_length())
+    n_out = end - v0
+    _check_span(n_out)
+    code, size, top = _slot((bits + (len(terms) - 1).bit_length() + 8) // 8)
     mask = int.from_bytes(top * n_out, byteorder)
-    x, y = (int.from_bytes(pa, byteorder) ^ mask) - mask, (int.from_bytes(pb, byteorder) ^ mask) - mask
-    data = ((x * y + mask) ^ mask).to_bytes(n_out * size, byteorder)
+
+    def value(c: tuple[int, ...]) -> int:
+        if len(c) == 1:
+            return c[0]
+        if code:
+            packed = array(code, c).tobytes()
+        else:
+            packed = b"".join([e.to_bytes(size, byteorder, signed=True) for e in c])
+        return (int.from_bytes(packed, byteorder) ^ mask) - mask
+
+    total = 0
+    for s, v, a, b in terms:
+        a, b = a._c, b._c
+        x = value(a) * value(b)
+        shift = v - v0 if byteorder == "little" else n_out + 1 - v + v0 - len(a) - len(b)
+        total += (x if s > 0 else -x) << (8 * size * shift)
+    data = ((total + mask) ^ mask).to_bytes(n_out * size, byteorder)
     if code:
-        return tuple(array(code, data))
+        return _trim(v0, array(code, data))
     starts = range(0, len(data), size)
-    return tuple([int.from_bytes(data[i : i + size], byteorder, signed=True) for i in starts])
+    return _trim(v0, [int.from_bytes(data[i : i + size], byteorder, signed=True) for i in starts])
 
 
 class LaurentPoly:
     """An immutable Laurent polynomial in q with integer coefficients."""
 
-    __slots__ = ("_v", "_c")
+    __slots__ = ("_v", "_c", "_h")  # _h: bits of the largest |coefficient|, 0 until needed
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -137,7 +155,7 @@ class LaurentPoly:
                 clean[e] = clean.get(e, 0) + c
         clean = {e: c for e, c in clean.items() if c}
         if not clean:
-            self._v, self._c = 0, ()
+            self._v, self._c, self._h = 0, (), 0
         else:
             lo = min(clean)
             span = max(clean) - lo + 1
@@ -145,7 +163,7 @@ class LaurentPoly:
             coeffs = [0] * span
             for e, c in clean.items():
                 coeffs[e - lo] = c
-            self._v, self._c = lo, tuple(coeffs)
+            self._v, self._c, self._h = lo, tuple(coeffs), 0
 
     @classmethod
     def _raw(cls, v: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
@@ -153,6 +171,7 @@ class LaurentPoly:
         p = cls.__new__(cls)
         p._v = v
         p._c = coeffs
+        p._h = 0
         return p
 
     @classmethod
@@ -268,8 +287,7 @@ class LaurentPoly:
             if c == 1:
                 return LaurentPoly._raw(v, a)
             return LaurentPoly._raw(v, tuple([c * x for x in a]))
-        _check_span(len(a) + len(b) - 1)
-        return LaurentPoly._raw(v, _kronecker(a, b))
+        return LaurentPoly._raw(*_kronecker([(1, v, self, o)]))
 
     __rmul__ = __mul__
 
@@ -450,19 +468,6 @@ def q_bracket(n: int) -> LaurentPoly:
 
 
 @cache
-def q_factorial_base(k: int, m: int) -> LaurentPoly:
-    """The factorial [k]! in base q^m: the product of [i] at q -> q^m for i = 1..k."""
-    if m < 1:
-        raise ValueError(f"base exponent m must be >= 1, got {m}")
-    if k < 0:
-        raise ValueError(f"factorial index must be >= 0, got {k}")
-    if k == 0:
-        return ONE
-    # [k] at q -> q^m is 1 + q^m + ... + q^(m(k-1)).
-    return q_factorial_base(k - 1, m) * LaurentPoly({m * e: 1 for e in range(k)})
-
-
-@cache
 def q_binomial_base(k: int, j: int, m: int) -> LaurentPoly:
     """Gaussian binomial coefficient (k choose j) in base q^m.
 
@@ -483,6 +488,42 @@ def q_binomial_base(k: int, j: int, m: int) -> LaurentPoly:
 def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact product (function form of the * operator)."""
     return a * b
+
+
+def lp_dot(
+    pairs: Iterable[tuple[LaurentPoly, LaurentPoly]], signs: Iterable[int] | None = None
+) -> LaurentPoly:
+    """The sum of s_i * a_i * b_i over the pairs (a_i, b_i) and the signs s_i,
+    each +1 or -1 (all +1 when omitted), as one fused Kronecker sum: each
+    operand is packed once and the sum is unpacked once (see `_kronecker`)."""
+    signed = zip(pairs, repeat(1)) if signs is None else zip(pairs, signs, strict=True)
+    terms = [(s, a._v + b._v, a, b) for (a, b), s in signed if a._c and b._c]
+    return LaurentPoly._raw(*_kronecker(terms)) if terms else ZERO
+
+
+def lp_div_bracket(p: LaurentPoly, b: int) -> LaurentPoly:
+    """The exact quotient p / [b]; raises NonDivisibleError when none exists.
+
+    For b > 0, Q [b] = P means Q (1 - q^b) = P (1 - q), so each residue class
+    mod b of Q is a prefix sum of the first difference of P, and Q exists iff
+    those sums vanish past its length, len(P) - b + 1.  A negative b uses
+    [-c] = -q^-c [c], as `mul_bracket` does.
+    """
+    if not b:
+        raise ZeroDivisionError("division by [0] = 0")
+    c = p._c
+    if not c:
+        return ZERO
+    width = abs(b)
+    sums = list(map(sub, c + (0,), (0,) + c))
+    for r in range(min(width, len(sums))):
+        sums[r::width] = accumulate(sums[r::width])
+    n = len(c) - width + 1
+    if n < 1 or any(sums[n:]):
+        raise NonDivisibleError(f"not divisible by [{b}]")
+    if b > 0:
+        return LaurentPoly._raw(p._v, tuple(sums[:n]))
+    return LaurentPoly._raw(p._v - b, tuple(map(neg, sums[:n])))
 
 
 def lp_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

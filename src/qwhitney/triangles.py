@@ -15,11 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .qalg import LaurentPoly, ONE, ZERO, _is_int, q_power
+from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_dot, q_power
 
 
 class NonUnitDiagonalError(ArithmeticError):
-    """Triangular inversion requires every diagonal entry to be +-q^e."""
+    """Triangular inversion requires every diagonal entry to be +-q^e; `n` is
+    the row of the first one that is not, and `entry` that diagonal entry."""
+
+    def __init__(self, n: int, entry: LaurentPoly):
+        super().__init__(f"diagonal entry at n={n} is {entry}, not a unit monomial")
+        self.n, self.entry = n, entry
 
 
 @dataclass(frozen=True)
@@ -217,15 +222,11 @@ class InverseMatrix:
             i = len(self._rows)
             diag = t.value(i, i)
             if not diag.is_unit_monomial():
-                raise NonUnitDiagonalError(
-                    f"diagonal entry at n={i} is {diag}, not a unit monomial"
-                )
+                raise NonUnitDiagonalError(i, diag)
             row = [ZERO] * (i + 1)
             row[i] = diag.unit_inverse()
             for j in range(i - 1, -1, -1):
-                acc = ZERO
-                for k in range(j + 1, i + 1):
-                    acc = acc + row[k] * t.value(k, j)
+                acc = lp_dot((row[k], t.value(k, j)) for k in range(j + 1, i + 1))
                 # Row j, built and checked earlier, holds 1 / T[j, j] on its diagonal.
                 row[j] = -(acc * self._rows[j][j])
             self._rows.append(row)

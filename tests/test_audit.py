@@ -213,6 +213,27 @@ class TestRunCheck:
             assert (ce.n, ce.k) == (1, 0)
             assert ce.lhs - ce.rhs == q_power(1) - ONE
 
+    def test_inverse_relations_report_a_non_unit_diagonal(self):
+        # w1 at (2, 1) with +1 added at its diagonal cell (5, 5) has no
+        # inverse from row 5 on: C13 fails there, holding that entry, and the
+        # rest of the audit still runs.
+        grid = ParamGrid((2,), (1,), 8)
+        clear_registry()
+        w1 = get_triangle(FamilyId.W1_FALLING, Params(2, 1))
+        w1.row(grid.nmax)
+        bad = w1.value(5, 5) + ONE
+        w1._rows[5][5] = bad
+        try:
+            (res,) = run_check("C13_INVERSE_RELATIONS", grid)
+            report = run_all(grid)
+            partner = get_triangle(FamilyId.W2, Params(2, 1)).value(5, 5)
+        finally:
+            clear_registry()
+        ce = res.counterexample
+        assert res.status == "fail"
+        assert (ce.n, ce.k, ce.lhs, ce.rhs) == (5, 5, bad, partner)
+        assert [r for r in report.results if r.check == "C13_INVERSE_RELATIONS"] == [res]
+
     def test_explicit_verdicts_follow_a_cleared_registry(self, monkeypatch):
         # C07, C21 and C22 report the C06/C20 verdict; a registry cleared
         # after a weight change must not serve the verdict of the old triangle.

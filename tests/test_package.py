@@ -1,9 +1,15 @@
 """Tests of the package's public namespace."""
 
 import qwhitney
-from qwhitney import audit, formulas
+from qwhitney import audit, formulas, qalg
 
-REMOVED = ["whitney2_egf_coeff", "lah_egf_coeff", "newton_lah_coefficients", "classical_limit_check"]
+REMOVED = [
+    "whitney2_egf_coeff",
+    "lah_egf_coeff",
+    "newton_lah_coefficients",
+    "classical_limit_check",
+    "q_factorial_base",
+]
 
 
 def test_every_export_resolves():
@@ -14,4 +20,4 @@ def test_every_export_resolves():
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in qwhitney.__all__
-        assert not any(hasattr(module, name) for module in (qwhitney, formulas, audit))
+        assert not any(hasattr(module, name) for module in (qwhitney, qalg, formulas, audit))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qwhitney import qalg
 from qwhitney.qalg import (
     EvalAtZeroError,
     LaurentPoly,
@@ -14,12 +15,13 @@ from qwhitney.qalg import (
     Q,
     SpanTooWideError,
     ZERO,
+    lp_div_bracket,
+    lp_dot,
     lp_eval,
     lp_exact_div,
     lp_mul,
     q_binomial_base,
     q_bracket,
-    q_factorial_base,
     q_power,
 )
 
@@ -36,6 +38,14 @@ def naive_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def subs_q_power(p: LaurentPoly, s: int) -> LaurentPoly:
     # Independent substitution oracle: q -> q^s.
     return LaurentPoly({s * e: c for e, c in p.terms().items()})
+
+
+def factorial_base(k: int, m: int) -> LaurentPoly:
+    # Oracle: [k]! in base q^m, the product of [i] at q -> q^m for i = 1..k.
+    out = ONE
+    for i in range(1, k + 1):
+        out = naive_mul(out, subs_q_power(q_bracket(i), m))
+    return out
 
 
 coeffs = st.integers(min_value=-999, max_value=999)
@@ -221,25 +231,103 @@ class TestExactDiv:
         assert lp_mul(b, lp_exact_div(a, b)) == a
 
 
+# Operands of a fused sum: small coefficients, whose sums stay on the word
+# codec, or up to 10^30, whose products need slots wider than 8 bytes; each
+# with one-term (monomial) and zero operands among them.
+small_operands = st.one_of(polys, st.builds(lambda c, e: c * q_power(e), coeffs, exponents))
+wide_operands = st.one_of(
+    dense_polys,
+    st.builds(lambda c, e: c * q_power(e), st.integers(min_value=-(10**30), max_value=10**30), exponents),
+)
+signs = st.sampled_from([1, -1])
+
+
+class TestDot:
+    @pytest.mark.parametrize("operands", [small_operands, wide_operands], ids=["word", "wide"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_sum_of_naive_products(self, operands, data):
+        cases = data.draw(st.lists(st.tuples(operands, operands, signs), max_size=8))
+        if data.draw(st.booleans()):
+            # Each product again with the opposite sign: the sum cancels to ZERO.
+            cases += [(a, b, -s) for a, b, s in cases]
+        want = ZERO
+        for a, b, s in cases:
+            want = want + LaurentPoly({e: s * c for e, c in naive_mul(a, b).terms().items()})
+        got = lp_dot([(a, b) for a, b, _ in cases], [s for _, _, s in cases])
+        assert got == want
+
+    def test_edge_cases(self):
+        a, b = LaurentPoly({-3: 5, 0: -7, 2: 1}), LaurentPoly({1: 2, 4: -9})
+        assert lp_dot([]) is ZERO
+        assert lp_dot([(ZERO, a), (b, ZERO)], [1, -1]) is ZERO
+        assert lp_dot([(a, b), (b, a)], [1, -1]) == ZERO
+        with pytest.raises(ValueError):
+            lp_dot([(a, b)], [1, -1])
+        assert lp_dot([(a, b)]) == naive_mul(a, b)
+        # Monomials enter as scalars, alone or beside packed operands.
+        assert lp_dot([(-3 * q_power(-2), 5 * q_power(7))]) == -15 * q_power(5)
+        assert lp_dot([(q_power(2), a), (a, b)], [-1, 1]) == naive_mul(a, b) - naive_mul(q_power(2), a)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_headroom_boundary(self, monkeypatch, n):
+        # n equal pairs of length-7 operands whose coefficients are all at their
+        # bound: one pair's slot bound is at most 64 bits, the 8-byte word, and
+        # the sum's headroom of bit_length(n - 1) bits makes it exactly 65, so
+        # only that term moves the sum onto the wide codec.  The middle
+        # coefficient, n * 7 * A * B, overflows a slot one bit narrower.
+        bits = 64 - (n - 1).bit_length() - 3
+        ka = bits // 2
+        a = LaurentPoly({e: (1 << ka) - 1 for e in range(7)})
+        b = LaurentPoly({e: (1 << (bits - ka)) - 1 for e in range(-2, 5)})
+        want = LaurentPoly({e: n * c for e, c in naive_mul(a, b).terms().items()})
+        slot = qalg._slot
+        widths = []
+        monkeypatch.setattr(qalg, "_slot", lambda width: widths.append(width) or slot(width))
+        assert lp_dot([(a, b)]) == naive_mul(a, b)
+        assert lp_dot([(a, b)] * n) == want
+        assert widths == [8, 9] and slot(8)[0] and not slot(9)[0]
+        monkeypatch.setattr(qalg, "_slot", lambda width: slot(width - 1))
+        assert lp_dot([(a, b)] * n) != want
+
+
+class TestDivBracket:
+    @given(st.one_of(dense_polys, wide_polys, polys), brackets.filter(bool))
+    @example(ONE, 1)
+    @example(q_power(-4), -3)
+    def test_inverts_mul_bracket(self, p, b):
+        assert lp_div_bracket(p.mul_bracket(b), b) == p
+
+    @given(st.one_of(dense_polys, wide_polys, polys))
+    def test_one_is_the_identity(self, p):
+        assert lp_div_bracket(p, 1) == p
+
+    @given(st.one_of(dense_polys, polys), brackets.filter(lambda b: abs(b) > 1), exponents)
+    def test_non_multiple_raises(self, p, b, e):
+        # [b] divides p [b] but not the monomial q^e, so not their sum.
+        with pytest.raises(NonDivisibleError):
+            lp_div_bracket(p.mul_bracket(b) + q_power(e), b)
+
+    def test_examples(self):
+        assert lp_div_bracket(LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1}), 2) == q_bracket(3)
+        assert lp_div_bracket(ZERO, 4) is ZERO
+        with pytest.raises(NonDivisibleError):
+            lp_div_bracket(q_bracket(4) + Q, 2)
+        # A dividend shorter than [b] is never a multiple of it.
+        for p, b in ((q_bracket(2), 3), (ONE, 2), (q_bracket(-2), -3)):
+            with pytest.raises(NonDivisibleError):
+                lp_div_bracket(p, b)
+        with pytest.raises(ZeroDivisionError):
+            lp_div_bracket(ONE, 0)
+
+
 class TestFactorialAndBinomial:
-    def test_factorial_examples(self):
-        assert q_factorial_base(0, 3) == ONE
-        assert q_factorial_base(2, 1) == q_bracket(2)
-        # Oracle: substitute q -> q^2 into [2].
-        assert q_factorial_base(2, 2) == subs_q_power(q_bracket(2), 2)
-
-    def test_factorial_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            q_factorial_base(2, 0)
-        with pytest.raises(ValueError):
-            q_factorial_base(-1, 1)
-
     def test_binomial_examples(self):
         assert q_binomial_base(4, 0, 2) == ONE
         assert q_binomial_base(2, 1, 1) == LaurentPoly({0: 1, 1: 1})
         # Oracle: [2]! / ([1]! [1]!) in base q^2 by exact division.
-        num = q_factorial_base(2, 2)
-        den = q_factorial_base(1, 2) * q_factorial_base(1, 2)
+        num = factorial_base(2, 2)
+        den = factorial_base(1, 2) * factorial_base(1, 2)
         assert q_binomial_base(2, 1, 2) == lp_exact_div(num, den)
 
     def test_binomial_out_of_range(self):
@@ -258,8 +346,8 @@ class TestFactorialAndBinomial:
         for m in (1, 2):
             for k in range(7):
                 for j in range(k + 1):
-                    num = q_factorial_base(k, m)
-                    den = q_factorial_base(j, m) * q_factorial_base(k - j, m)
+                    num = factorial_base(k, m)
+                    den = factorial_base(j, m) * factorial_base(k - j, m)
                     assert q_binomial_base(k, j, m) == lp_exact_div(num, den)
 
 

@@ -281,8 +281,9 @@ class TestInversion:
         tri = Triangle(FamilyId.W2, P10)
         tri._rows = [[ONE], [ZERO, q_bracket(2)]]
         tri._ensure = lambda n: None
-        with pytest.raises(NonUnitDiagonalError):
+        with pytest.raises(NonUnitDiagonalError) as err:
             InverseMatrix(tri).value(1, 1)
+        assert (err.value.n, err.value.entry) == (1, q_bracket(2))
 
     def test_out_of_range_is_zero(self):
         inv = invert_unit_triangular(FamilyId.W2, P10, 3)
