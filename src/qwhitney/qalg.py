@@ -105,7 +105,7 @@ def _kronecker(
     Bytes are in native order: on a big-endian host the packed integers are
     the reversed polynomials, so each product is placed from the sum's top.
     """
-    v0, end, bits = terms[0][1], 0, 0
+    v0, end, bits = terms[0][1], terms[0][1], 0
     for _, v, a, b in terms:
         for p in (a, b):
             if not p._h:
@@ -129,9 +129,8 @@ def _kronecker(
 
     total = 0
     for s, v, a, b in terms:
-        a, b = a._c, b._c
-        x = value(a) * value(b)
-        shift = v - v0 if byteorder == "little" else n_out + 1 - v + v0 - len(a) - len(b)
+        x = value(a._c) * value(b._c)
+        shift = v - v0 if byteorder == "little" else n_out + 1 - v + v0 - len(a._c) - len(b._c)
         total += (x if s > 0 else -x) << (8 * size * shift)
     data = ((total + mask) ^ mask).to_bytes(n_out * size, byteorder)
     if code:
@@ -496,7 +495,9 @@ def lp_dot(
     """The sum of s_i * a_i * b_i over the pairs (a_i, b_i) and the signs s_i,
     each +1 or -1 (all +1 when omitted), as one fused Kronecker sum: each
     operand is packed once and the sum is unpacked once (see `_kronecker`)."""
-    signed = zip(pairs, repeat(1)) if signs is None else zip(pairs, signs, strict=True)
+    signed = list(zip(pairs, repeat(1)) if signs is None else zip(pairs, signs, strict=True))
+    if any(s not in (1, -1) for _, s in signed):
+        raise ValueError("each sign must be +1 or -1")
     terms = [(s, a._v + b._v, a, b) for (a, b), s in signed if a._c and b._c]
     return LaurentPoly._raw(*_kronecker(terms)) if terms else ZERO
 

@@ -264,10 +264,30 @@ class TestDot:
         assert lp_dot([(a, b), (b, a)], [1, -1]) == ZERO
         with pytest.raises(ValueError):
             lp_dot([(a, b)], [1, -1])
+        # A sign other than +1 or -1 is refused, also on a pair that is zero.
+        for bad in (0, 2, -2):
+            with pytest.raises(ValueError):
+                lp_dot([(a, b)], [bad])
+            with pytest.raises(ValueError):
+                lp_dot([(a, b), (ZERO, a)], [1, bad])
         assert lp_dot([(a, b)]) == naive_mul(a, b)
         # Monomials enter as scalars, alone or beside packed operands.
         assert lp_dot([(-3 * q_power(-2), 5 * q_power(7))]) == -15 * q_power(5)
         assert lp_dot([(q_power(2), a), (a, b)], [-1, 1]) == naive_mul(a, b) - naive_mul(q_power(2), a)
+
+    def test_far_negative_valuation(self, monkeypatch):
+        # Short operands far below exponent 0: the packed sum spans the
+        # result's exponents only, not the distance from the valuation to 0.
+        v = -(1 << 25)
+        a, b = LaurentPoly({v: 1, v + 1: 1}), LaurentPoly({v - 3: 2, v - 1: -5})
+        aa, ab = naive_mul(a, a), naive_mul(a, b)
+        want = [aa, ab, ab + ab, ab - aa]
+        spans = []
+        check_span = qalg._check_span
+        monkeypatch.setattr(qalg, "_check_span", lambda span: spans.append(span) or check_span(span))
+        got = [a * a, a * b, lp_dot([(a, b), (b, a)]), lp_dot([(a, a), (a, b)], [-1, 1])]
+        assert got == want
+        assert spans == [3, 4, 4, 6]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_headroom_boundary(self, monkeypatch, n):
