@@ -27,11 +27,6 @@ from .triangles import (
     dowling,
     get_triangle,
     invert_unit_triangular,
-    lah,
-    whitney1_falling,
-    whitney2,
-    whitney2_scaled,
-    whitney2_verbatim,
 )
 from .upoly import falling_factorial_u, rising_factorial_u, upoly_coeff
 from .formulas import (
@@ -134,10 +129,15 @@ class CheckDef:
 
 def _first_mismatch(cells: Iterable[tuple[int, int]], *pairs: Pair) -> Counterexample | None:
     """The first cell (n, k), in the order given, where got(n, k) and
-    want(n, k) differ for one of the (got, want) pairs, tried in order."""
+    want(n, k) differ for one of the (got, want) pairs, tried in order. A
+    triangle inverted by got with no inverse from row n on (C13, C15, C16)
+    fails at (n, n), with its diagonal entry as lhs and want(n, n) as rhs."""
     for n, k in cells:
         for got, want in pairs:
-            lhs = got(n, k)
+            try:
+                lhs = got(n, k)
+            except NonUnitDiagonalError as err:
+                return Counterexample(err.n, err.n, err.entry, want(err.n, err.n))
             rhs = want(n, k)
             if lhs != rhs:
                 return Counterexample(n, k, lhs, rhs)
@@ -176,55 +176,53 @@ def _falling_expansion(triangle: Entry, m: int, s: int) -> Entry:
 
 
 def _check_w_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    expansion = _falling_expansion(lambda n, k: whitney2(p, n, k), p.m, p.r)
+    expansion = _falling_expansion(get_triangle(FamilyId.W2, p).value, p.m, p.r)
     return _first_mismatch(_triangle(range(nmax + 1)), (expansion, _delta))
 
 
-def _rescaled(form: int, p: Params, n: int, k: int) -> LaurentPoly:
+def _rescaled(form: int, p: Params, w2: Entry, n: int, k: int) -> LaurentPoly:
     """Entry (n, k) of the second-kind form 2 or 3 obtained by rescaling the
     first form: by q^(-kr - m*C(k,2)) for form 2, by q^(-m*C(k,2)) for form 3."""
     exponent = {2: -k * p.r - p.m * comb(k, 2), 3: -p.m * comb(k, 2)}[form]
-    return q_power(exponent) * whitney2(p, n, k)
+    return q_power(exponent) * w2(n, k)
 
 
 def _check_w_forms_scaling(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    def star(n: int, k: int) -> LaurentPoly:
-        return whitney2_scaled(2, p, n, k)
-
-    def tilde(n: int, k: int) -> LaurentPoly:
-        return whitney2_scaled(3, p, n, k)
-
+    w2 = get_triangle(FamilyId.W2, p).value
+    star = get_triangle(FamilyId.W2_FORM2, p).value
+    tilde = get_triangle(FamilyId.W2_FORM3, p).value
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (star, lambda n, k: _rescaled(2, p, n, k)),
+        (star, lambda n, k: _rescaled(2, p, w2, n, k)),
         (tilde, lambda n, k: q_power(k * p.r) * star(n, k)),
-        (tilde, lambda n, k: _rescaled(3, p, n, k)),
+        (tilde, lambda n, k: _rescaled(3, p, w2, n, k)),
     )
 
 
 def _check_w_recurrence_sign(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    def got(n: int, k: int) -> LaurentPoly:
-        if variant is Variant.VERBATIM:
-            return whitney2_verbatim(p, n, k)
-        return q_power(p.m * (k - 1) + p.r) * whitney2(p, n - 1, k - 1) + q_bracket(
-            p.m * k + p.r
-        ) * whitney2(p, n - 1, k)
+    m, r = p.m, p.r
+    w2 = get_triangle(FamilyId.W2, p).value
 
+    def stepped(n: int, k: int) -> LaurentPoly:
+        return q_power(m * (k - 1) + r) * w2(n - 1, k - 1) + q_bracket(m * k + r) * w2(n - 1, k)
+
+    got = get_triangle(FamilyId.W2_VERBATIM, p).value if variant is Variant.VERBATIM else stepped
     # Row 0 is the seed 1 of both triangles, which no recurrence step produces.
-    return _first_mismatch(_triangle(range(1, nmax + 1)), (got, lambda n, k: whitney2(p, n, k)))
+    return _first_mismatch(_triangle(range(1, nmax + 1)), (got, w2))
 
 
 def _check_w_vertical(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+    w2 = get_triangle(FamilyId.W2, p).value
     return _first_mismatch(
         _triangle(range(nmax)),
-        (lambda n, k: whitney2_vertical(p, n, k), lambda n, k: whitney2(p, n + 1, k + 1)),
+        (lambda n, k: whitney2_vertical(p, n, k), lambda n, k: w2(n + 1, k + 1)),
     )
 
 
 def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (lambda n, k: whitney2_horizontal(p, n, k), lambda n, k: whitney2(p, n, k)),
+        (lambda n, k: whitney2_horizontal(p, n, k), get_triangle(FamilyId.W2, p).value),
     )
 
 
@@ -259,7 +257,7 @@ def _check_w_rational_gf(variant: Variant, p: Params, nmax: int) -> Counterexamp
     series = [whitney2_rational_gf(p, k, nmax) for k in range(nmax + 1)]
     return _first_mismatch(
         ((n, k) for n in range(nmax + 1) for k in range(nmax + 1)),
-        (lambda n, k: upoly_coeff(series[k], n), lambda n, k: whitney2(p, n, k)),
+        (lambda n, k: upoly_coeff(series[k], n), get_triangle(FamilyId.W2, p).value),
     )
 
 
@@ -267,11 +265,10 @@ def _check_dowling_forms(variant: Variant, p: Params, nmax: int) -> Counterexamp
     # Form 1 needs no pair: its row sum is the sum of the very whitney2
     # entries it would be compared with, so only the separately filled
     # form-2 and form-3 triangles are compared, with the rescaled first form.
+    w2 = get_triangle(FamilyId.W2, p).value
+
     def rescaled_sum(form: int, n: int) -> LaurentPoly:
-        total = ZERO
-        for k in range(n + 1):
-            total = total + _rescaled(form, p, n, k)
-        return total
+        return sum((_rescaled(form, p, w2, n, k) for k in range(n + 1)), ZERO)
 
     def pair(form: int) -> Pair:
         return (lambda n, _: dowling(p, form, n), lambda n, _: rescaled_sum(form, n))
@@ -281,61 +278,56 @@ def _check_dowling_forms(variant: Variant, p: Params, nmax: int) -> Counterexamp
 
 def _check_lah_triangular(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     m, r = p.m, p.r
+    lah = get_triangle(FamilyId.LAH, p).value
 
     def got(n: int, k: int) -> LaurentPoly:
-        return q_power(2 * r + m * (k - 1) + m * (n - 1)) * lah(p, n - 1, k - 1) + q_bracket(
+        return q_power(2 * r + m * (k - 1) + m * (n - 1)) * lah(n - 1, k - 1) + q_bracket(
             2 * r + k * m + (n - 1) * m
-        ) * lah(p, n - 1, k)
+        ) * lah(n - 1, k)
 
-    return _first_mismatch(_triangle(range(1, nmax + 1)), (got, lambda n, k: lah(p, n, k)))
+    return _first_mismatch(_triangle(range(1, nmax + 1)), (got, lah))
 
 
 def _check_lah_vertical(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+    lah = get_triangle(FamilyId.LAH, p).value
     return _first_mismatch(
         _triangle(range(nmax)),
-        (lambda n, k: lah_vertical(variant, p, n, k), lambda n, k: lah(p, n + 1, k + 1)),
+        (lambda n, k: lah_vertical(variant, p, n, k), lambda n, k: lah(n + 1, k + 1)),
     )
 
 
 def _check_orthogonality(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    def first(n: int, k: int) -> LaurentPoly:
-        return whitney1_falling(p, n, k)
-
-    def second(n: int, k: int) -> LaurentPoly:
-        return whitney2(p, n, k)
-
+    w1 = get_triangle(FamilyId.W1_FALLING, p).value
+    w2 = get_triangle(FamilyId.W2, p).value
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (lambda n, j: triangular_sum(first, second, n, j), _delta),
-        (lambda n, j: triangular_sum(second, first, n, j), _delta),
+        (lambda n, j: triangular_sum(w1, w2, n, j), _delta),
+        (lambda n, j: triangular_sum(w2, w1, n, j), _delta),
     )
 
 
 def _check_inverse_relations(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    # A diagonal entry that is not +-q^e has no inverse: the rows before it are
-    # compared, then its cell is reported with it as lhs, the partner's as rhs.
-    pairs = []
-    for family, partner in ((FamilyId.W1_FALLING, whitney2), (FamilyId.W2, whitney1_falling)):
-        try:
-            inverse = invert_unit_triangular(family, p, nmax)
-        except NonUnitDiagonalError as err:
-            earlier = _check_inverse_relations(variant, p, err.n - 1)
-            return earlier or Counterexample(err.n, err.n, err.entry, partner(p, err.n, err.n))
-        pairs.append((inverse.value, lambda n, k, partner=partner: partner(p, n, k)))
-    return _first_mismatch(_triangle(range(nmax + 1)), *pairs)
+    # Each inverse is filled to row 0 here and then as its rows are read, so
+    # a non-unit diagonal entry surfaces in _first_mismatch at its own row.
+    w1, w2 = FamilyId.W1_FALLING, FamilyId.W2
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (invert_unit_triangular(w1, p, 0).value, get_triangle(w2, p).value),
+        (invert_unit_triangular(w2, p, 0).value, get_triangle(w1, p).value),
+    )
 
 
 def _check_lah_composition(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (lambda n, j: lah_via_composition(variant, p, n, j), lambda n, j: lah(p, n, j)),
+        (lambda n, j: lah_via_composition(variant, p, n, j), get_triangle(FamilyId.LAH, p).value),
     )
 
 
 def _check_w_from_lah(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (lambda n, j: whitney_from_lah(variant, p, n, j), lambda n, j: whitney2(p, n, j)),
+        (lambda n, j: whitney_from_lah(variant, p, n, j), get_triangle(FamilyId.W2, p).value),
     )
 
 
@@ -350,7 +342,7 @@ def _check_lah_horiz_gf(variant: Variant, p: Params, nmax: int) -> Counterexampl
     return _first_mismatch(
         _triangle(range(nmax + 1)),
         (
-            _falling_expansion(lambda n, k: lah(p, n, k), p.m, 0),
+            _falling_expansion(get_triangle(FamilyId.LAH, p).value, p.m, 0),
             lambda n, i: rising_factorial_u(p.m, 2 * p.r, n).coeff(i),
         ),
     )
@@ -363,7 +355,7 @@ def _check_lah_diagonal(variant: Variant, p: Params, nmax: int) -> Counterexampl
         return q_power(2 * p.r * n + p.m * n * (n - 1))
 
     diagonal = ((n, n) for n in range(nmax + 1))
-    return _first_mismatch(diagonal, (claimed, lambda n, k: lah(p, n, k)))
+    return _first_mismatch(diagonal, (claimed, get_triangle(FamilyId.LAH, p).value))
 
 
 def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -372,7 +364,9 @@ def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexa
             return rising_bracket_product(2 * p.r + (n - 1) * p.m, 0, n)
         return rising_bracket_product(2 * p.r, p.m, n)
 
-    return _first_mismatch(_column_zero(range(nmax + 1)), (claimed, lambda n, k: lah(p, n, k)))
+    return _first_mismatch(
+        _column_zero(range(nmax + 1)), (claimed, get_triangle(FamilyId.LAH, p).value)
+    )
 
 
 def _check_lah_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -383,7 +377,7 @@ def _check_w1_recurrence(variant: Variant, p: Params, nmax: int) -> Counterexamp
     return _first_mismatch(
         _triangle(range(nmax + 1)),
         (
-            lambda n, k: whitney1_falling(p, n, k),
+            get_triangle(FamilyId.W1_FALLING, p).value,
             lambda n, k: falling_factorial_u(p.m, p.r, n).coeff(k),
         ),
     )
@@ -400,7 +394,7 @@ def _check_w1_boundary(variant: Variant, p: Params, nmax: int) -> Counterexample
         return -value if n % 2 else value
 
     return _first_mismatch(
-        _column_zero(range(1, nmax + 1)), (claimed, lambda n, k: whitney1_falling(p, n, k))
+        _column_zero(range(1, nmax + 1)), (claimed, get_triangle(FamilyId.W1_FALLING, p).value)
     )
 
 
@@ -418,7 +412,7 @@ def _check_w1_table(variant: Variant, p: Params, nmax: int) -> Counterexample | 
         (2, 2): q_power(-(2 * r + m)),
     }
     return _first_mismatch(
-        claimed, (lambda n, k: claimed[n, k], lambda n, k: whitney1_falling(p, n, k))
+        claimed, (lambda n, k: claimed[n, k], get_triangle(FamilyId.W1_FALLING, p).value)
     )
 
 
@@ -462,14 +456,16 @@ def _at_one(value: LaurentPoly) -> LaurentPoly:
 
 def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     m, r = p.m, p.r
+    lah = get_triangle(FamilyId.LAH, p).value
     top = min(nmax, 10)
     cheon_jung = _integer_rows(lambda n, k: 2 * r + k * m + (n - 1) * m, top)
     pairs: list[Pair] = [
-        (lambda n, k: _at_one(lah(p, n, k)), lambda n, k: LaurentPoly.const(cheon_jung[n][k]))
+        (lambda n, k: _at_one(lah(n, k)), lambda n, k: LaurentPoly.const(cheon_jung[n][k]))
     ]
     if m == 1 and r == 0:
         bells = _bell_numbers(top)
         stirling = _integer_rows(lambda n, k: k, top)
+        w2 = get_triangle(FamilyId.W2, p).value
         # The Bell number of row n is compared once, at its column-zero cell.
         pairs = [
             (
@@ -477,8 +473,8 @@ def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterex
                 lambda n, k: LaurentPoly.const(bells[n]) if k == 0 else ZERO,
             ),
             *pairs,
-            (lambda n, k: _at_one(lah(p, n, k)), lambda n, k: LaurentPoly.const(_classical_lah(n, k))),
-            (lambda n, k: _at_one(whitney2(p, n, k)), lambda n, k: LaurentPoly.const(stirling[n][k])),
+            (lambda n, k: _at_one(lah(n, k)), lambda n, k: LaurentPoly.const(_classical_lah(n, k))),
+            (lambda n, k: _at_one(w2(n, k)), lambda n, k: LaurentPoly.const(stirling[n][k])),
         ]
     return _first_mismatch(_triangle(range(top + 1)), *pairs)
 

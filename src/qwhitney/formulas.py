@@ -25,16 +25,7 @@ from .qalg import (
     q_bracket,
     q_power,
 )
-from .triangles import (
-    FamilyId,
-    Params,
-    invert_unit_triangular,
-    lah,
-    lah_row_sum,
-    whitney1_falling,
-    whitney1_rising,
-    whitney2,
-)
+from .triangles import FamilyId, Params, get_triangle, invert_unit_triangular, lah_row_sum
 from .upoly import TruncSeries, useries_inverse
 
 GridFunction = Callable[[int], LaurentPoly]
@@ -114,7 +105,7 @@ def _vertical(c: Callable[[int], int], m: int, entry: Entry, n: int, k: int) -> 
 def whitney2_vertical(params: Params, n: int, k: int) -> LaurentPoly:
     """Vertical recurrence; the result is the entry at (n+1, k+1)."""
     r = params.r
-    return _vertical(lambda i: r, params.m, lambda a, b: whitney2(params, a, b), n, k)
+    return _vertical(lambda i: r, params.m, get_triangle(FamilyId.W2, params).value, n, k)
 
 
 def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
@@ -134,7 +125,7 @@ def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
 
 def whitney2_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
     """Horizontal recurrence reconstructing the entry at (n, k) from row n+1."""
-    return _horizontal(params.r, params.m, lambda a, b: whitney2(params, a, b), n, k)
+    return _horizontal(params.r, params.m, get_triangle(FamilyId.W2, params).value, n, k)
 
 
 def lah_explicit(params: Params, n: int, k: int) -> LaurentPoly:
@@ -158,15 +149,14 @@ def lah_vertical(variant: Variant, params: Params, n: int, k: int) -> LaurentPol
     while unrolling; the verbatim form repeats one j-independent product.
     """
     m, r = params.m, params.r
+    lah = get_triangle(FamilyId.LAH, params).value
     if variant is Variant.CORRECTED:
         # The Lah step into row i is the second-kind step with r -> 2r + (i-1)m.
-        return _vertical(lambda i: 2 * r + (i - 1) * m, m, lambda a, b: lah(params, a, b), n, k)
+        return _vertical(lambda i: 2 * r + (i - 1) * m, m, lah, n, k)
     prod = ONE
     for i in range(k + 1):
         prod = prod.mul_bracket(2 * r + (k + 1) * m + (n - i) * m)
-    return lp_dot(
-        (q_power(2 * r + m * k + m * (n - j)) * prod, lah(params, j, k)) for j in range(k, n + 1)
-    )
+    return lp_dot((q_power(2 * r + m * k + m * (n - j)) * prod, lah(j, k)) for j in range(k, n + 1))
 
 
 def lah_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
@@ -175,7 +165,7 @@ def lah_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
     The Lah step into row n+1 is the second-kind step with r -> 2r + nm.
     """
     m = params.m
-    return _horizontal(2 * params.r + n * m, m, lambda a, b: lah(params, a, b), n, k)
+    return _horizontal(2 * params.r + n * m, m, get_triangle(FamilyId.LAH, params).value, n, k)
 
 
 def whitney2_rational_gf(params: Params, k: int, order: int) -> TruncSeries:
@@ -205,11 +195,10 @@ def lah_via_composition(variant: Variant, params: Params, n: int, j: int) -> Lau
     corrected pairs the rising first-kind family at +r with the second kind.
     """
     if variant is Variant.VERBATIM:
-        flipped = Params(params.m, -params.r)
-        first = lambda a, b: whitney1_falling(flipped, a, b)
+        first = get_triangle(FamilyId.W1_FALLING, Params(params.m, -params.r))
     else:
-        first = lambda a, b: whitney1_rising(params, a, b)
-    return triangular_sum(first, lambda a, b: whitney2(params, a, b), n, j)
+        first = get_triangle(FamilyId.W1_RISING, params)
+    return triangular_sum(first.value, get_triangle(FamilyId.W2, params).value, n, j)
 
 
 def _lah_outer(variant: Variant, params: Params, n: int) -> Entry:
@@ -217,8 +206,7 @@ def _lah_outer(variant: Variant, params: Params, n: int) -> Entry:
     the second-kind triangle at -r (verbatim) or the inverse of the rising
     first-kind triangle (corrected)."""
     if variant is Variant.VERBATIM:
-        flipped = Params(params.m, -params.r)
-        return lambda a, b: whitney2(flipped, a, b)
+        return get_triangle(FamilyId.W2_VERBATIM, params).value
     return invert_unit_triangular(FamilyId.W1_RISING, params, n).value
 
 
@@ -226,7 +214,7 @@ def whitney_from_lah(variant: Variant, params: Params, n: int, j: int) -> Lauren
     """Second-kind entry recovered from the Lah triangle: the product of the
     variant's outer matrix (`_lah_outer`) with the Lah triangle."""
     outer = _lah_outer(variant, params, n)
-    return triangular_sum(outer, lambda a, b: lah(params, a, b), n, j)
+    return triangular_sum(outer, get_triangle(FamilyId.LAH, params).value, n, j)
 
 
 def dowling_qi(variant: Variant, params: Params, n: int) -> LaurentPoly:

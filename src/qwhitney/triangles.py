@@ -7,6 +7,9 @@ Lah-type triangle.  Six of them differ only in their row of the weight
 table `_WEIGHTS`; the sign-variant is the second kind at -r, the same
 triangle object.  Entries are exact Laurent polynomials; each triangle is
 filled row-major on demand and entries are never recomputed.
+
+Entries are read through `get_triangle(family, params).value`; the named
+accessors (`whitney2`, `lah`, ...) each wrap one such lookup and read.
 """
 
 from __future__ import annotations
@@ -151,23 +154,9 @@ def whitney2_verbatim(params: Params, n: int, k: int) -> LaurentPoly:
     return get_triangle(FamilyId.W2_VERBATIM, params).value(n, k)
 
 
-def whitney2_scaled(form: int, params: Params, n: int, k: int) -> LaurentPoly:
-    """Second (form=2) or third (form=3) rescaled second-kind triangle entry."""
-    if form == 2:
-        return get_triangle(FamilyId.W2_FORM2, params).value(n, k)
-    if form == 3:
-        return get_triangle(FamilyId.W2_FORM3, params).value(n, k)
-    raise ValueError(f"form must be 2 or 3, got {form!r}")
-
-
 def whitney1_falling(params: Params, n: int, k: int) -> LaurentPoly:
     """First-kind triangle entry: coefficient of u^k in the falling product."""
     return get_triangle(FamilyId.W1_FALLING, params).value(n, k)
-
-
-def whitney1_rising(params: Params, n: int, k: int) -> LaurentPoly:
-    """Rising-kind first-kind entry: coefficient of u^k in the rising product."""
-    return get_triangle(FamilyId.W1_RISING, params).value(n, k)
 
 
 def lah(params: Params, n: int, k: int) -> LaurentPoly:
@@ -179,10 +168,7 @@ _DOWLING_FAMILY = {1: FamilyId.W2, 2: FamilyId.W2_FORM2, 3: FamilyId.W2_FORM3}
 
 
 def _row_sum(family: FamilyId, params: Params, n: int) -> LaurentPoly:
-    total = ZERO
-    for entry in get_triangle(family, params).row(n):
-        total = total + entry
-    return total
+    return sum(get_triangle(family, params).row(n), ZERO)
 
 
 def dowling(params: Params, form: int, n: int) -> LaurentPoly:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qwhitney.qalg import ONE, q_power
+from qwhitney.qalg import ONE, Q, q_power
 from qwhitney.audit import (
     DEFAULT_GRID,
     Counterexample,
@@ -19,7 +19,7 @@ from qwhitney.audit import (
     run_check,
 )
 from qwhitney.formulas import Variant
-from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, get_triangle
+from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, dowling, get_triangle
 
 FAST_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
 
@@ -234,6 +234,30 @@ class TestRunCheck:
         assert (ce.n, ce.k, ce.lhs, ce.rhs) == (5, 5, bad, partner)
         assert [r for r in report.results if r.check == "C13_INVERSE_RELATIONS"] == [res]
 
+    def test_lah_routes_report_a_non_unit_rising_diagonal(self):
+        # The corrected C15 and C16 invert w1-rising; with +1 at its cell
+        # (5, 5) they fail there by C13's rule, and the verbatim forms,
+        # which invert nothing, keep their verdicts.
+        p, grid = Params(2, 1), ParamGrid((2,), (1,), 8)
+        clear_registry()
+        rising = get_triangle(FamilyId.W1_RISING, p)
+        rising.row(grid.nmax)
+        bad = rising.value(5, 5) + ONE
+        rising._rows[5][5] = bad
+        try:
+            results = {
+                (res.check, res.variant): res
+                for cid in ("C15_W_FROM_LAH", "C16_DOWLING_QI")
+                for res in run_check(cid, grid)
+            }
+            wants = (get_triangle(FamilyId.W2, p).value(5, 5), dowling(p, 1, 5))
+        finally:
+            clear_registry()
+        for cid, want in zip(("C15_W_FROM_LAH", "C16_DOWLING_QI"), wants):
+            ce = results[cid, Variant.CORRECTED].counterexample
+            assert (ce.n, ce.k, ce.lhs, ce.rhs) == (5, 5, bad, want)
+            assert results[cid, Variant.VERBATIM] == run_check(cid, grid)[0]
+
     def test_explicit_verdicts_follow_a_cleared_registry(self, monkeypatch):
         # C07, C21 and C22 report the C06/C20 verdict; a registry cleared
         # after a weight change must not serve the verdict of the old triangle.
@@ -345,3 +369,72 @@ class TestClassicalLimits:
         assert all(res.status == "pass" for res in results)
         points = {(res.m, res.r) for res in results}
         assert len(points) == len(DEFAULT_GRID.m_values) * len(DEFAULT_GRID.r_values)
+
+
+# -- fault injection -------------------------------------------------------
+# One wrong entry is written into one filled triangle at (2, 1), and the
+# results that differ from a clean run are pinned: they name the checks
+# that read that triangle, so a route that stops reading it shows here.
+
+SWEEP_POINT = Params(2, 1)
+SWEEP_GRID = ParamGrid((2,), (1,), 8)
+SWEEP_CELLS = [(5, 2), (8, 3), (6, 0), (5, 5)]
+SWEEP_FAULTS = {"plus-one": ONE, "plus-q-minus-one": Q - ONE}
+
+
+def _ids(verbatim: str, corrected: str = "") -> set[tuple[str, Variant]]:
+    return {(c, Variant.VERBATIM) for c in verbatim.split()} | {
+        (c, Variant.CORRECTED) for c in corrected.split()
+    }
+
+
+SWEEP_CHANGES = {
+    FamilyId.W2: _ids("C01 C02 C04 C05 C06 C07 C08 C09 C12 C13", "C03 C14 C15 C16"),
+    FamilyId.W2_FORM2: _ids("C02 C09"),
+    FamilyId.W2_FORM3: _ids("C02 C09"),
+    FamilyId.W1_FALLING: _ids("C12 C13 C23"),
+    # No check compares w1-rising with its own rising product; only the
+    # matrix routes see it.
+    FamilyId.W1_RISING: _ids("", "C14 C15 C16"),
+    FamilyId.LAH: _ids("C10 C17 C20 C21 C22 C26", "C11 C14 C15 C16"),
+}
+
+
+def _sweep_run(fault=None) -> dict[tuple[str, Variant], object]:
+    """Every result at the sweep point, keyed by (check number, variant),
+    with the fault (family, cell, addend) written after the fill."""
+    clear_registry()
+    try:
+        for family in SWEEP_CHANGES:
+            get_triangle(family, SWEEP_POINT).row(SWEEP_GRID.nmax)
+        if fault is not None:
+            family, (n, k), addend = fault
+            rows = get_triangle(family, SWEEP_POINT)._rows
+            rows[n][k] = rows[n][k] + addend
+        return {(res.check[:3], res.variant): res for res in run_all(SWEEP_GRID).results}
+    finally:
+        clear_registry()
+
+
+@pytest.fixture(scope="module")
+def clean_sweep_run():
+    return _sweep_run()
+
+
+@pytest.mark.parametrize("fault", SWEEP_FAULTS)
+@pytest.mark.parametrize("cell", SWEEP_CELLS)
+@pytest.mark.parametrize("family", SWEEP_CHANGES, ids=lambda f: f.value)
+def test_fault_sweep(clean_sweep_run, family, cell, fault):
+    results = _sweep_run((family, cell, SWEEP_FAULTS[fault]))
+    changed = {key for key, res in results.items() if res != clean_sweep_run[key]}
+    expected = set(SWEEP_CHANGES[family])
+    if family is FamilyId.W1_FALLING and cell == (6, 0):
+        expected |= _ids("", "C24")
+    if family is FamilyId.LAH:
+        expected |= _ids("", {(6, 0): "C19", (5, 5): "C18"}.get(cell, ""))
+        if fault == "plus-q-minus-one":
+            # The q -> 1 limits cannot see a fault that vanishes at q = 1.
+            expected -= _ids("C26")
+    assert changed == expected
+    assert all(results[key].status == "fail" for key in changed)
+    assert len({check for check, _ in changed}) >= 2

@@ -1,7 +1,7 @@
 """Tests of the package's public namespace."""
 
 import qwhitney
-from qwhitney import audit, formulas, qalg
+from qwhitney import audit, formulas, qalg, triangles
 
 REMOVED = [
     "whitney2_egf_coeff",
@@ -9,6 +9,8 @@ REMOVED = [
     "newton_lah_coefficients",
     "classical_limit_check",
     "q_factorial_base",
+    "whitney2_scaled",
+    "whitney1_rising",
 ]
 
 
@@ -20,4 +22,5 @@ def test_every_export_resolves():
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in qwhitney.__all__
-        assert not any(hasattr(module, name) for module in (qwhitney, qalg, formulas, audit))
+        modules = (qwhitney, qalg, formulas, audit, triangles)
+        assert not any(hasattr(module, name) for module in modules)

@@ -21,9 +21,7 @@ from qwhitney.triangles import (
     lah,
     lah_row_sum,
     whitney1_falling,
-    whitney1_rising,
     whitney2,
-    whitney2_scaled,
     whitney2_verbatim,
 )
 from qwhitney.upoly import UPoly, falling_factorial_u, rising_factorial_u
@@ -112,25 +110,21 @@ class TestWhitney2Verbatim:
 
 class TestScaledForms:
     def test_examples(self):
-        assert whitney2_scaled(2, P11, 1, 1) == ONE
-        assert whitney2_scaled(3, P11, 1, 1) == Q
+        assert get_triangle(FamilyId.W2_FORM2, P11).value(1, 1) == ONE
+        assert get_triangle(FamilyId.W2_FORM3, P11).value(1, 1) == Q
         for n in range(5):
-            assert whitney2_scaled(2, P11, n, 0) == whitney2(P11, n, 0)
+            assert get_triangle(FamilyId.W2_FORM2, P11).value(n, 0) == whitney2(P11, n, 0)
 
     def test_scaling_relations(self):
         for p in SMALL_GRID:
+            star = get_triangle(FamilyId.W2_FORM2, p).value
+            tilde = get_triangle(FamilyId.W2_FORM3, p).value
             for n in range(8):
                 for k in range(n + 1):
                     w = whitney2(p, n, k)
-                    star = whitney2_scaled(2, p, n, k)
-                    tilde = whitney2_scaled(3, p, n, k)
-                    assert star == q_power(-k * p.r - p.m * math.comb(k, 2)) * w
-                    assert tilde == q_power(k * p.r) * star
-                    assert tilde == q_power(-p.m * math.comb(k, 2)) * w
-
-    def test_rejects_bad_form(self):
-        with pytest.raises(ValueError):
-            whitney2_scaled(1, P10, 1, 1)
+                    assert star(n, k) == q_power(-k * p.r - p.m * math.comb(k, 2)) * w
+                    assert tilde(n, k) == q_power(k * p.r) * star(n, k)
+                    assert tilde(n, k) == q_power(-p.m * math.comb(k, 2)) * w
 
 
 class TestWhitney1:
@@ -151,23 +145,25 @@ class TestWhitney1:
                     assert whitney1_falling(p, n, k) == fall.coeff(k), (p, n, k)
 
     def test_rising_examples(self):
-        assert whitney1_rising(P11, 2, 2) == q_power(3)
-        assert whitney1_rising(P10, 2, 1) == ONE
-        assert whitney1_rising(Params(3, -2), 0, 0) == ONE
+        assert get_triangle(FamilyId.W1_RISING, P11).value(2, 2) == q_power(3)
+        assert get_triangle(FamilyId.W1_RISING, P10).value(2, 1) == ONE
+        assert get_triangle(FamilyId.W1_RISING, Params(3, -2)).value(0, 0) == ONE
 
     def test_rising_rows_are_rising_coefficients(self):
         for p in SMALL_GRID:
+            rising = get_triangle(FamilyId.W1_RISING, p).value
             for n in range(9):
                 rise = rising_factorial_u(p.m, p.r, n)
                 for k in range(n + 1):
-                    assert whitney1_rising(p, n, k) == rise.coeff(k)
+                    assert rising(n, k) == rise.coeff(k)
 
     def test_rising_falling_row_conversion(self):
         for p in SMALL_GRID:
+            rising = get_triangle(FamilyId.W1_RISING, p).value
             for n in range(9):
                 flipped = Params(p.m, -p.r - (n - 1) * p.m)
                 for k in range(n + 1):
-                    assert whitney1_rising(p, n, k) == whitney1_falling(flipped, n, k)
+                    assert rising(n, k) == whitney1_falling(flipped, n, k)
 
     def test_orthogonality(self):
         for p in SMALL_GRID:
