@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
 from .qalg import EvalAtZeroError, LaurentPoly
@@ -43,90 +43,134 @@ def _cell(value: LaurentPoly, args: argparse.Namespace):
     return value.latex() if args.format == "latex" else str(value)
 
 
-def _write(text: str, output: str | None) -> None:
-    """Write to stdout or to the named file; a file that cannot be written
-    is a bad CLI value, reported on one line with exit code 2."""
+def _check_cells(args: argparse.Namespace, values: Iterable[LaurentPoly]) -> None:
+    """Raise the one error a cell can raise, a negative exponent evaluated at
+    `--q 0`, before the first byte of the output is written."""
+    if args.q == 0:
+        for value in values:
+            value.eval_at(0)
+
+
+def _write(chunks: Iterable[str], output: str | None) -> None:
+    """Write the chunks, one at a time, to stdout or to the named file; a file
+    that cannot be opened or written is a bad CLI value, reported on one line
+    with exit code 2."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early, as `| head` does: end the output quietly,
+            # and let the flush at exit send what is buffered to the null device.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"qwhitney: error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
-def _json(args: argparse.Namespace, doc: dict) -> str:
+def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable) -> Iterator[str]:
+    """The bytes of `json.dumps(doc + {key: [*items]}, indent=1)` and a newline,
+    with `"q"` added last when given, yielded one item at a time."""
+    doc = dict(doc, **{key: []})
     if args.q is not None:
         doc["q"] = str(args.q)
-    return json.dumps(doc, indent=1) + "\n"
+    head, _, tail = json.dumps(doc, indent=1).partition(f'"{key}": []')
+    yield f'{head}"{key}": '
+    sep = "["
+    for item in items:
+        # An item sits two levels deep; strings escape their own newlines.
+        yield sep + "\n  " + json.dumps(item, indent=1).replace("\n", "\n  ")
+        sep = ","
+    yield ("[]" if sep == "[" else "\n ]") + tail + "\n"
 
 
-def _csv(args: argparse.Namespace, header: list[str], records: Iterable[tuple]) -> str:
+class _Echo:
+    """A file whose write returns the text, so `csv.writer.writerow` returns its line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv(args: argparse.Namespace, header: list[str], records: Iterable[tuple]) -> Iterator[str]:
     """One CSV line per (index, ..., value) record, the value as a quoted cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([*index, _cell(value, args)] for *index, value in records)
-    return buf.getvalue()
+    writer = csv.writer(_Echo(), quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    yield writer.writerow(header)
+    for *index, value in records:
+        yield writer.writerow([*index, _cell(value, args)])
 
 
-def _tabular(cols: str, rows: Iterable[str]) -> str:
-    body = " \\\\\n".join(rows)
-    return f"\\begin{{tabular}}{{{cols}}}\n{body} \\\\\n\\end{{tabular}}\n"
+def _tabular(cols: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """A LaTeX tabular: each row's chunks, then its row end."""
+    yield f"\\begin{{tabular}}{{{cols}}}\n"
+    for row in rows:
+        yield from row
+        yield " \\\\\n"
+    yield "\\end{tabular}\n"
 
 
-def _grid(args: argparse.Namespace, rows: Iterable[Iterable[LaurentPoly]]) -> str:
+def _grid(args: argparse.Namespace, rows: Iterable[Iterable[LaurentPoly]]) -> Iterator[str]:
     """Rows of values as comma-separated text lines or as the rows of a LaTeX
-    tabular with nmax + 1 columns. Cells are formatted one row at a time,
-    inside the join, so only one row's formatted cells are held at once."""
+    tabular with nmax + 1 columns, yielded one cell at a time with its
+    separator, so only one formatted cell is held at once."""
     if args.format == "text":
-        return "\n".join(", ".join(_cell(v, args) for v in row) for row in rows) + "\n"
-    cells = (" & ".join(f"${_cell(v, args)}$" for v in row) for row in rows)
-    return _tabular("r" * (args.nmax + 1), cells)
+        for row in rows:
+            for k, v in enumerate(row):
+                yield f", {_cell(v, args)}" if k else _cell(v, args)
+            yield "\n"
+        return
+    cells = ((f"{' & ' if k else ''}${_cell(v, args)}$" for k, v in enumerate(row)) for row in rows)
+    yield from _tabular("r" * (args.nmax + 1), cells)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = get_triangle(args.family, Params(args.m, args.r)).rows(args.nmax)
+    tri = get_triangle(args.family, Params(args.m, args.r))
+    rows = [tri.row(n) for n in range(args.nmax + 1)]
+    _check_cells(args, chain.from_iterable(rows))
     if args.format == "csv":
         records = ((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row))
-        text = _csv(args, ["n", "k", "value"], records)
+        chunks = _csv(args, ["n", "k", "value"], records)
     elif args.format == "json":
         doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
-        text = _json(args, dict(doc, rows=[[_cell(v, args) for v in row] for row in rows]))
+        chunks = _json(args, doc, "rows", ([_cell(v, args) for v in row] for row in rows))
     else:
-        text = _grid(args, rows)
-    _write(text, args.output)
+        chunks = _grid(args, rows)
+    _write(chunks, args.output)
     return 0
 
 
 def cmd_dowling(args: argparse.Namespace) -> int:
     params = Params(args.m, args.r)
     values = [dowling(params, args.form, n) for n in range(args.nmax + 1)]
+    _check_cells(args, values)
     if args.format == "csv":
-        text = _csv(args, ["n", "value"], enumerate(values))
+        chunks = _csv(args, ["n", "value"], enumerate(values))
     elif args.format == "json":
         doc = {"form": args.form, "m": args.m, "r": args.r, "nmax": args.nmax}
-        text = _json(args, dict(doc, values=[_cell(v, args) for v in values]))
+        chunks = _json(args, doc, "values", (_cell(v, args) for v in values))
     else:
-        text = _grid(args, [values])
-    _write(text, args.output)
+        chunks = _grid(args, [values])
+    _write(chunks, args.output)
     return 0
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
     series = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order)
     pairs = [(n, upoly_coeff(series, n)) for n in range(args.k, args.order + 1)]
+    _check_cells(args, (v for _, v in pairs))
     if args.format == "csv":
-        text = _csv(args, ["n", "value"], pairs)
+        chunks = _csv(args, ["n", "value"], pairs)
     elif args.format == "json":
         doc = {"family": "w2", "k": args.k, "m": args.m, "r": args.r, "order": args.order}
-        text = _json(args, dict(doc, coefficients=[{"n": n, "value": _cell(v, args)} for n, v in pairs]))
+        chunks = _json(args, doc, "coefficients", ({"n": n, "value": _cell(v, args)} for n, v in pairs))
     elif args.format == "text":
-        text = "\n".join(f"({n}, {_cell(v, args)})" for n, v in pairs) + "\n"
+        chunks = (f"({n}, {_cell(v, args)})\n" for n, v in pairs)
     else:
-        text = _tabular("rl", (f"{n} & ${_cell(v, args)}$" for n, v in pairs))
-    _write(text, args.output)
+        chunks = _tabular("rl", ([f"{n} & ${_cell(v, args)}$"] for n, v in pairs))
+    _write(chunks, args.output)
     return 0
 
 
@@ -173,9 +217,9 @@ def parse_grid(spec: str | None) -> ParamGrid:
 def cmd_audit(args: argparse.Namespace) -> int:
     report = run_all(args.grid, args.check or None)
     if not args.quiet:
-        _write(report.render_table(), args.output)
+        _write([report.render_table()], args.output)
     if args.json is not None:
-        _write(report.to_json_str(), args.json)
+        _write([report.to_json_str()], args.json)
     return 0 if report.clean else 1
 
 

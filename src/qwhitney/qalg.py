@@ -389,22 +389,31 @@ class LaurentPoly:
     def _render(self, times: str, lbrace: str, rbrace: str) -> str:
         """Terms in ascending exponent order; `times` joins a coefficient to
         its power of q, and the braces enclose an exponent other than 0, 1."""
-        if not self._c:
+        c = self._c
+        if not c:
             return "0"
-        parts: list[str] = []
-        for e, c in self.sorted_terms():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}{times}q"
-            else:
-                body = f"q^{lbrace}{e}{rbrace}" if mag == 1 else f"{mag}{times}q^{lbrace}{e}{rbrace}"
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        v, n = self._v, len(c)
+        # Five slots per term, filled in C: separator, coefficient, power,
+        # exponent, closing brace; then only the special terms are fixed up.
+        parts = [" + ", "", f"{times}q^{lbrace}", "", rbrace] * n
+        parts[0] = ""
+        parts[1::5] = map(str, c)
+        parts[3::5] = map(str, range(v, v + n))
+        # A zero term is blanked; a coefficient +-1 off exponent 0 is its sign alone.
+        unit = f"q^{lbrace}"
+        for x, lo, hi, fill in ((0, 0, 5, ("",) * 5), (1, 1, 3, ("", unit)), (-1, 1, 3, ("-", unit))):
+            i = -1
+            for _ in range(c.count(x)):
+                i = c.index(x, i + 1)
+                parts[5 * i + lo : 5 * i + hi] = fill
+        if 0 <= -v < n and c[-v]:  # the constant term: its coefficient alone
+            i = 5 * -v
+            parts[i + 1 : i + 5] = str(c[-v]), "", "", ""
+        if 0 <= 1 - v < n and c[1 - v]:  # q itself, with no exponent
+            i = 5 * (1 - v)
+            parts[i + 2 : i + 5] = "q" if c[1 - v] in (1, -1) else f"{times}q", "", ""
+        # A negative coefficient follows " + "; an exponent's sign follows "^".
+        return "".join(parts).replace(" + -", " - ")
 
     def __str__(self) -> str:
         return self._render("*", "", "")

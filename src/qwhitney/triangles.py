@@ -78,10 +78,6 @@ class Triangle:
         self._ensure(n)
         return tuple(self._rows[n])
 
-    def rows(self, nmax: int) -> list[list[LaurentPoly]]:
-        self._ensure(nmax)
-        return [list(r) for r in self._rows[: nmax + 1]]
-
     def _ensure(self, n: int) -> None:
         while len(self._rows) <= n:
             self._rows.append(self._next_row(len(self._rows)))

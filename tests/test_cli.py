@@ -3,13 +3,17 @@
 import hashlib
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qwhitney
 from qwhitney.cli import main, parse_grid
 from qwhitney.qalg import LaurentPoly
 from qwhitney.triangles import Params, lah, whitney2
@@ -109,6 +113,25 @@ class TestTable:
         code = run_cli(["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "2", "--q", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "3"],
+            ["dowling", "--form", "1", "--m", "1", "--r", "-1", "--nmax", "3"],
+            ["expand", "--k", "1", "--order", "3", "--m", "1", "--r", "-2"],
+        ],
+        ids=["table", "dowling", "expand"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+    def test_q_zero_writes_nothing(self, args, fmt, tmp_path, capsys):
+        # The error comes before the first byte: no partial stdout, no file.
+        argv = args + ["--q", "0", "--format", fmt]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().out == ""
+        target = tmp_path / "out.txt"
+        assert run_cli(argv + ["-o", str(target)]) == 2
+        assert not target.exists()
+
     def test_q_zero_allowed_for_nonnegative(self, capsys):
         code = run_cli(["table", "--family", "w2", "--m", "1", "--r", "1", "--nmax", "2", "--q", "0"])
         assert code == 0
@@ -133,6 +156,49 @@ class TestTable:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
         assert not target.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+    def test_write_error_mid_stream_exits_two(self, fmt, capsys):
+        # 170 kB of text: the device refuses a write after the file is open.
+        args = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "12", "--format", fmt]
+        assert run_cli(args + ["-o", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "cannot write /dev/full" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_reader_closing_stdout_early(self):
+        # `qwhitney table ... | head -c 20`: 1.6 MB of text, far more than a pipe
+        # holds, so the output is still being written when the reader leaves.
+        argv = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "20"]
+        env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
+        with subprocess.Popen(
+            [sys.executable, "-m", "qwhitney.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.read(20).startswith(b"1\n1 + q + ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+    # sha256 of `qwhitney table --family lah --m 2 --r -1 --nmax 12 --format FMT`:
+    # the polynomials themselves, as text, a JSON term list, CSV and LaTeX.
+    DIGESTS = {
+        "text": "5452470280ef3c023285ec12fa88046747b91cba81a95f1998a8921661190ec9",
+        "csv": "4a90fff61ec8a819d0180ec833e4a9b3000d73e7635cb6cab5127292262c7b83",
+        "json": "478407030be457eae14f074786bcddf67820b378fd2ca2e5fa0953d546f3e6c1",
+        "latex": "b181c171a01429f82065b2c9112c5705ad657c665b8a85aaeeb1ce82708a102f",
+    }
+
+    @pytest.mark.parametrize("fmt", list(DIGESTS))
+    def test_bytes_unchanged(self, fmt, tmp_path, capsys):
+        args = ["table", "--family", "lah", "--m", "2", "--r", "-1", "--nmax", "12", "--format", fmt]
+        assert run_cli(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[fmt]
+        target = tmp_path / f"t.{fmt}"
+        assert run_cli(args + ["-o", str(target)]) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == self.DIGESTS[fmt]
 
     def test_cache_option_removed(self, tmp_path):
         args = ["table", "--family", "lah", "--m", "1", "--r", "1", "--nmax", "3", "--cache", str(tmp_path)]

@@ -24,3 +24,8 @@ def test_removed_names_are_gone():
         assert name not in qwhitney.__all__
         modules = (qwhitney, qalg, formulas, audit, triangles)
         assert not any(hasattr(module, name) for module in modules)
+
+
+def test_removed_methods_are_gone():
+    # Triangle.rows copied every row; a reader takes Triangle.row(n) instead.
+    assert not hasattr(triangles.Triangle, "rows")

@@ -395,7 +395,55 @@ class TestEval:
         assert lp_eval(a) == lp_eval(a, 1)
 
 
+def render_oracle(p: LaurentPoly, times: str, lbrace: str, rbrace: str) -> str:
+    # Independent oracle: one string per nonzero term, built term by term.
+    if not p:
+        return "0"
+    parts: list[str] = []
+    for e, c in p.sorted_terms():
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif e == 1:
+            body = "q" if mag == 1 else f"{mag}{times}q"
+        else:
+            body = f"q^{lbrace}{e}{rbrace}" if mag == 1 else f"{mag}{times}q^{lbrace}{e}{rbrace}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+    return "".join(parts)
+
+
+# Runs of coefficients from an offset near 0: interior zeros, +-1 and
+# magnitudes up to 10^30, at exponents 0 and 1 and at negative ones.
+render_polys = st.builds(
+    lambda lo, cs: LaurentPoly({lo + i: c for i, c in enumerate(cs)}),
+    st.integers(min_value=-8, max_value=3),
+    st.lists(
+        st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(min_value=-(10**30), max_value=10**30)),
+        max_size=14,
+    ),
+)
+
+
 class TestRendering:
+    @given(render_polys)
+    @example(ZERO)
+    @example(ONE)
+    @example(-ONE)
+    @example(Q)
+    @example(-Q)
+    @example(LaurentPoly({-1: -1}))
+    @example(LaurentPoly({-3: 10**30}))
+    @example(LaurentPoly({1: -(10**30)}))
+    @example(LaurentPoly({0: -1, 1: -1, 2: -1}))
+    @example(LaurentPoly({-1: 1, 3: -1}))
+    @settings(max_examples=400)
+    def test_matches_term_by_term_rendering(self, p):
+        assert str(p) == render_oracle(p, "*", "", "")
+        assert p.latex() == render_oracle(p, "", "{", "}")
+
     def test_canonical_text(self):
         p = LaurentPoly({-2: -1, -1: -1, 0: 2, 1: 3, 3: 1})
         assert str(p) == "-q^-2 - q^-1 + 2 + 3*q + q^3"
