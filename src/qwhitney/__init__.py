@@ -17,9 +17,6 @@ from .qalg import (
     ZERO,
     lp_div_bracket,
     lp_dot,
-    lp_eval,
-    lp_exact_div,
-    lp_mul,
     q_binomial_base,
     q_bracket,
     q_power,
@@ -31,7 +28,6 @@ from .upoly import (
     bracket_linear,
     falling_factorial_u,
     rising_factorial_u,
-    upoly_coeff,
     useries_inverse,
 )
 from .triangles import (
@@ -43,11 +39,7 @@ from .triangles import (
     dowling,
     get_triangle,
     invert_unit_triangular,
-    lah,
     lah_row_sum,
-    whitney1_falling,
-    whitney2,
-    whitney2_verbatim,
 )
 from .formulas import (
     Variant,
@@ -105,7 +97,6 @@ __all__ = [
     "falling_factorial_u",
     "get_triangle",
     "invert_unit_triangular",
-    "lah",
     "lah_explicit",
     "lah_horizontal",
     "lah_row_sum",
@@ -113,9 +104,6 @@ __all__ = [
     "lah_via_composition",
     "lp_div_bracket",
     "lp_dot",
-    "lp_eval",
-    "lp_exact_div",
-    "lp_mul",
     "q_binomial_base",
     "q_bracket",
     "q_difference",
@@ -123,14 +111,10 @@ __all__ = [
     "rising_factorial_u",
     "run_all",
     "run_check",
-    "upoly_coeff",
     "useries_inverse",
-    "whitney1_falling",
-    "whitney2",
     "whitney2_explicit",
     "whitney2_horizontal",
     "whitney2_rational_gf",
-    "whitney2_verbatim",
     "whitney2_vertical",
     "whitney_from_lah",
 ]

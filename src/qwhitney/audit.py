@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Callable, Iterable
 from weakref import WeakKeyDictionary
 
-from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_eval, q_bracket, q_power
+from .qalg import LaurentPoly, ONE, ZERO, _is_int, q_bracket, q_power
 from .triangles import (
     FamilyId,
     NonUnitDiagonalError,
@@ -28,7 +28,7 @@ from .triangles import (
     get_triangle,
     invert_unit_triangular,
 )
-from .upoly import falling_factorial_u, rising_factorial_u, upoly_coeff
+from .upoly import falling_factorial_u, rising_factorial_u
 from .formulas import (
     Entry,
     Variant,
@@ -257,7 +257,7 @@ def _check_w_rational_gf(variant: Variant, p: Params, nmax: int) -> Counterexamp
     series = [whitney2_rational_gf(p, k, nmax) for k in range(nmax + 1)]
     return _first_mismatch(
         ((n, k) for n in range(nmax + 1) for k in range(nmax + 1)),
-        (lambda n, k: upoly_coeff(series[k], n), get_triangle(FamilyId.W2, p).value),
+        (lambda n, k: series[k].coeff(n), get_triangle(FamilyId.W2, p).value),
     )
 
 
@@ -451,7 +451,7 @@ def _classical_lah(n: int, k: int) -> int:
 
 def _at_one(value: LaurentPoly) -> LaurentPoly:
     """The q -> 1 limit of value, as a constant."""
-    return LaurentPoly.const(int(lp_eval(value)))
+    return LaurentPoly.const(int(value.eval_at_one()))
 
 
 def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterexample | None:

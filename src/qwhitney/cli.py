@@ -17,7 +17,7 @@ from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
 from .qalg import EvalAtZeroError, LaurentPoly
 from .triangles import FamilyId, Params, dowling, get_triangle
 from .formulas import whitney2_rational_gf
-from .upoly import upoly_coeff
+
 
 def _family(name: str) -> FamilyId:
     try:
@@ -52,22 +52,26 @@ def _check_cells(args: argparse.Namespace, values: Iterable[LaurentPoly]) -> Non
 
 
 def _write(chunks: Iterable[str], output: str | None) -> None:
-    """Write the chunks, one at a time, to stdout or to the named file; a file
-    that cannot be opened or written is a bad CLI value, reported on one line
-    with exit code 2."""
-    if output is None or output == "-":
-        try:
+    """Write the chunks, one at a time, to stdout or to the named file.  An
+    output that cannot be opened or written is reported on one line with exit
+    code 2; only a reader that closed stdout early, as `| head` does, ends the
+    output quietly with the command's own exit code."""
+    to_stdout = output is None or output == "-"
+    try:
+        if to_stdout:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped early, as `| head` does: end the output quietly,
-            # and let the flush at exit send what is buffered to the null device.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return
-    try:
-        with open(output, "w") as fh:
-            fh.writelines(chunks)
+        else:
+            with open(output, "w") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
+        if to_stdout:
+            # Send what is still buffered to the null device, so the flush at
+            # exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return
+            output = "stdout"
         print(f"qwhitney: error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -159,7 +163,7 @@ def cmd_dowling(args: argparse.Namespace) -> int:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     series = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order)
-    pairs = [(n, upoly_coeff(series, n)) for n in range(args.k, args.order + 1)]
+    pairs = [(n, series.coeff(n)) for n in range(args.k, args.order + 1)]
     _check_cells(args, (v for _, v in pairs))
     if args.format == "csv":
         chunks = _csv(args, ["n", "value"], pairs)

@@ -118,8 +118,9 @@ def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
     terms = []
     ratio = ONE
     for j in range(n - k + 1):
-        terms.append((q_power(-c - m * (k + j)) * ratio, entry(n + 1, k + j + 1)))
-        ratio = (q_power(-c - m * (k + j)) * ratio).mul_bracket(m * (k + j + 1) + c)
+        weight = q_power(-c - m * (k + j)) * ratio
+        terms.append((weight, entry(n + 1, k + j + 1)))
+        ratio = weight.mul_bracket(m * (k + j + 1) + c)
     return lp_dot(terms, (-1 if j % 2 else 1 for j in range(n - k + 1)))
 
 

@@ -22,7 +22,6 @@ The q-bracket [n] = (1 - q^n)/(1 - q) is defined for every integer n:
 
 from __future__ import annotations
 
-import re
 from array import array
 from fractions import Fraction
 from functools import cache
@@ -46,8 +45,6 @@ class SpanTooWideError(ValueError):
 
 # Most exponents, from valuation to degree inclusive, that one value may span.
 _MAX_SPAN = 1 << 24
-
-_DECIMAL = re.compile(r"-?[1-9][0-9]*")
 
 
 def _check_span(span: int) -> None:
@@ -431,27 +428,6 @@ class LaurentPoly:
         """{"terms": [{"e": int, "c": "decimal string"}, ...]} with ascending e."""
         return {"terms": [{"e": e, "c": str(c)} for e, c in self.sorted_terms()]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentPoly":
-        """Parse the JSON wire form; raises ValueError on anything but the canonical form."""
-        if not isinstance(data, dict) or set(data) != {"terms"} or not isinstance(data["terms"], list):
-            raise ValueError("malformed polynomial document")
-        terms: dict[int, int] = {}
-        prev: int | None = None
-        for item in data["terms"]:
-            if not isinstance(item, dict) or set(item) != {"e", "c"}:
-                raise ValueError("malformed term")
-            e, c = item["e"], item["c"]
-            if not _is_int(e):
-                raise ValueError(f"term exponent must be an integer, got {e!r}")
-            if not isinstance(c, str) or not _DECIMAL.fullmatch(c):
-                raise ValueError(f"term coefficient must be a nonzero decimal string, got {c!r}")
-            if prev is not None and e <= prev:
-                raise ValueError("term exponents must be strictly ascending")
-            prev = e
-            terms[e] = int(c)
-        return cls(terms)
-
 
 ZERO = LaurentPoly._raw(0, ())
 ONE = LaurentPoly._raw(0, (1,))
@@ -493,11 +469,6 @@ def q_binomial_base(k: int, j: int, m: int) -> LaurentPoly:
     return q_binomial_base(k - 1, j - 1, m) + q_power(m * j) * q_binomial_base(k - 1, j, m)
 
 
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product (function form of the * operator)."""
-    return a * b
-
-
 def lp_dot(
     pairs: Iterable[tuple[LaurentPoly, LaurentPoly]], signs: Iterable[int] | None = None
 ) -> LaurentPoly:
@@ -534,15 +505,3 @@ def lp_div_bracket(p: LaurentPoly, b: int) -> LaurentPoly:
     if b > 0:
         return LaurentPoly._raw(p._v, tuple(sums[:n]))
     return LaurentPoly._raw(p._v - b, tuple(map(neg, sums[:n])))
-
-
-def lp_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient c with b * c = a; raises NonDivisibleError when none exists."""
-    return a.exact_div(b)
-
-
-def lp_eval(p: LaurentPoly, at: Fraction | int | None = None) -> Fraction:
-    """Evaluate p at a rational point, or take the q -> 1 limit when at is None."""
-    if at is None:
-        return p.eval_at_one()
-    return p.eval_at(at)

@@ -8,8 +8,8 @@ table `_WEIGHTS`; the sign-variant is the second kind at -r, the same
 triangle object.  Entries are exact Laurent polynomials; each triangle is
 filled row-major on demand and entries are never recomputed.
 
-Entries are read through `get_triangle(family, params).value`; the named
-accessors (`whitney2`, `lah`, ...) each wrap one such lookup and read.
+Every entry is read through the shared triangle: bind
+`get_triangle(family, params).value` once, then call it with (n, k).
 """
 
 from __future__ import annotations
@@ -138,26 +138,6 @@ def clear_registry() -> None:
     """Drop every memoized triangle, and with it its inverse (test isolation
     hook); later lookups fill new triangles from the current weight table."""
     _TRIANGLES.clear()
-
-
-def whitney2(params: Params, n: int, k: int) -> LaurentPoly:
-    """Second-kind triangle entry from the canonical (+r weight) recurrence."""
-    return get_triangle(FamilyId.W2, params).value(n, k)
-
-
-def whitney2_verbatim(params: Params, n: int, k: int) -> LaurentPoly:
-    """Second-kind triangle generated with the -r weights: the entry at -r."""
-    return get_triangle(FamilyId.W2_VERBATIM, params).value(n, k)
-
-
-def whitney1_falling(params: Params, n: int, k: int) -> LaurentPoly:
-    """First-kind triangle entry: coefficient of u^k in the falling product."""
-    return get_triangle(FamilyId.W1_FALLING, params).value(n, k)
-
-
-def lah(params: Params, n: int, k: int) -> LaurentPoly:
-    """Lah-type triangle entry, seeded by the single corner value 1."""
-    return get_triangle(FamilyId.LAH, params).value(n, k)
 
 
 _DOWLING_FAMILY = {1: FamilyId.W2, 2: FamilyId.W2_FORM2, 3: FamilyId.W2_FORM3}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Sequence, Union
 
-from .qalg import LaurentPoly, ONE, ZERO, q_bracket, q_power
+from .qalg import LaurentPoly, ONE, ZERO, lp_dot, q_bracket, q_power
 
 
 class NonUnitConstantTermError(ArithmeticError):
@@ -26,12 +26,9 @@ def _trim(coeffs: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
 
 
 def _product_coeff(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], n: int) -> LaurentPoly:
-    """Coefficient n of the product of u-coefficient sequences a and b, skipping zero operands."""
-    acc = ZERO
-    for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-        if a[i] and b[n - i]:
-            acc = acc + a[i] * b[n - i]
-    return acc
+    """Coefficient n of the product of u-coefficient sequences a and b, by one
+    `lp_dot` (which skips zero operands)."""
+    return lp_dot((a[i], b[n - i]) for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1))
 
 
 class UPoly:
@@ -201,8 +198,3 @@ def useries_inverse(s: TruncSeries) -> TruncSeries:
         # out[n] is still ZERO, so the sum runs over s[i] out[n-i] for i >= 1.
         out[n] = -(inv0 * _product_coeff(s.coeffs(), out, n))
     return TruncSeries(s.order, out)
-
-
-def upoly_coeff(p: UPoly | TruncSeries, i: int) -> LaurentPoly:
-    """Coefficient of u^i, zero beyond the stored degree or order."""
-    return p.coeff(i)

@@ -13,21 +13,17 @@ from qwhitney.qalg import (
     LaurentPoly,
     ONE,
     ZERO,
-    lp_eval,
-    lp_exact_div,
     q_binomial_base,
     q_bracket,
     q_power,
 )
-from qwhitney.upoly import UPoly, falling_factorial_u, rising_factorial_u, upoly_coeff
+from qwhitney.upoly import UPoly, falling_factorial_u, rising_factorial_u
 from qwhitney.triangles import (
     FamilyId,
     Params,
     dowling,
+    get_triangle,
     invert_unit_triangular,
-    lah,
-    whitney1_falling,
-    whitney2,
 )
 from qwhitney.formulas import (
     Variant,
@@ -66,10 +62,11 @@ def _report(name, body):
 def test_c1_horizontal_gf_second_kind():
     def body():
         for p in GRID:
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(16):
                 acc = UPoly.zero()
                 for k in range(n + 1):
-                    acc = acc + falling_factorial_u(p.m, p.r, k) * whitney2(p, n, k)
+                    acc = acc + falling_factorial_u(p.m, p.r, k) * w2(n, k)
                 assert acc == UPoly.u_power(n), (p, n)
 
     _report("1 horizontal-gf-second-kind", body)
@@ -78,15 +75,16 @@ def test_c1_horizontal_gf_second_kind():
 def test_c2_dual_path_second_kind():
     def body():
         for p in GRID:
+            w2 = get_triangle(FamilyId.W2, p).value
             series = [whitney2_rational_gf(p, k, 12) for k in range(13)]
             for n in range(13):
                 for k in range(n + 1):
-                    w = whitney2(p, n, k)
+                    w = w2(n, k)
                     assert whitney2_explicit(p, n, k) == w, ("explicit", p, n, k)
                     assert whitney2_horizontal(p, n, k) == w, ("horizontal", p, n, k)
-                    assert upoly_coeff(series[k], n) == w, ("rational", p, n, k)
+                    assert series[k].coeff(n) == w, ("rational", p, n, k)
                     if n < 12:
-                        assert whitney2_vertical(p, n, k) == whitney2(p, n + 1, k + 1), (
+                        assert whitney2_vertical(p, n, k) == w2(n + 1, k + 1), (
                             "vertical",
                             p,
                             n,
@@ -100,14 +98,15 @@ def test_c3_lah_identities():
     def body():
         m_step = None
         for p in GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(13):
                 gf = UPoly.zero()
                 for k in range(n + 1):
-                    val = lah(p, n, k)
+                    val = lah(n, k)
                     assert lah_explicit(p, n, k) == val, ("explicit", p, n, k)
                     assert lah_horizontal(p, n, k) == val, ("horizontal", p, n, k)
                     if n < 12:
-                        assert lah_vertical(Variant.CORRECTED, p, n, k) == lah(p, n + 1, k + 1), (
+                        assert lah_vertical(Variant.CORRECTED, p, n, k) == lah(n + 1, k + 1), (
                             "vertical",
                             p,
                             n,
@@ -122,22 +121,24 @@ def test_c3_lah_identities():
 def test_c4_orthogonality_and_inverse_relations():
     def body():
         for p in GRID:
+            w1 = get_triangle(FamilyId.W1_FALLING, p).value
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(13):
                 for j in range(n + 1):
                     want = ONE if n == j else ZERO
                     left = ZERO
                     right = ZERO
                     for k in range(j, n + 1):
-                        left = left + whitney1_falling(p, n, k) * whitney2(p, k, j)
-                        right = right + whitney2(p, n, k) * whitney1_falling(p, k, j)
+                        left = left + w1(n, k) * w2(k, j)
+                        right = right + w2(n, k) * w1(k, j)
                     assert left == want, ("first*second", p, n, j)
                     assert right == want, ("second*first", p, n, j)
             inv = invert_unit_triangular(FamilyId.W1_FALLING, p, 12)
             inv2 = invert_unit_triangular(FamilyId.W2, p, 12)
             for n in range(13):
                 for k in range(n + 1):
-                    assert inv.value(n, k) == whitney2(p, n, k), ("inverse", p, n, k)
-                    assert inv2.value(n, k) == whitney1_falling(p, n, k), ("inverse2", p, n, k)
+                    assert inv.value(n, k) == w2(n, k), ("inverse", p, n, k)
+                    assert inv2.value(n, k) == w1(n, k), ("inverse2", p, n, k)
 
     _report("4 orthogonality-inverse-relations", body)
 
@@ -145,16 +146,18 @@ def test_c4_orthogonality_and_inverse_relations():
 def test_c5_corrected_composition_chain():
     def body():
         for p in GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(13):
                 assert dowling_qi(Variant.CORRECTED, p, n) == dowling(p, 1, n), ("qi", p, n)
                 for j in range(n + 1):
-                    assert lah_via_composition(Variant.CORRECTED, p, n, j) == lah(p, n, j), (
+                    assert lah_via_composition(Variant.CORRECTED, p, n, j) == lah(n, j), (
                         "lah",
                         p,
                         n,
                         j,
                     )
-                    assert whitney_from_lah(Variant.CORRECTED, p, n, j) == whitney2(p, n, j), (
+                    assert whitney_from_lah(Variant.CORRECTED, p, n, j) == w2(n, j), (
                         "w",
                         p,
                         n,
@@ -166,10 +169,11 @@ def test_c5_corrected_composition_chain():
 
 def test_c6_golden_values():
     def body():
-        assert whitney2(Params(1, 0), 3, 2) == LaurentPoly({1: 2, 2: 1})
-        assert lah(Params(1, 0), 2, 1) == LaurentPoly({0: 1, 1: 1})
-        assert lah(Params(1, 1), 2, 1) == LaurentPoly({2: 1, 3: 2, 4: 2, 5: 1})
-        assert lah(Params(1, 1), 2, 2) == q_power(6)
+        assert get_triangle(FamilyId.W2, Params(1, 0)).value(3, 2) == LaurentPoly({1: 2, 2: 1})
+        assert get_triangle(FamilyId.LAH, Params(1, 0)).value(2, 1) == LaurentPoly({0: 1, 1: 1})
+        lah11 = get_triangle(FamilyId.LAH, Params(1, 1)).value
+        assert lah11(2, 1) == LaurentPoly({2: 1, 3: 2, 4: 2, 5: 1})
+        assert lah11(2, 2) == q_power(6)
         assert dowling(Params(1, 0), 1, 3) == LaurentPoly({0: 1, 1: 2, 2: 1, 3: 1})
 
     _report("6 golden-values", body)
@@ -189,6 +193,7 @@ def _bell_oracle(top):
 def test_c7_q_to_one_oracles():
     def body():
         p10 = Params(1, 0)
+        lah10 = get_triangle(FamilyId.LAH, p10).value
         for n in range(11):
             for k in range(n + 1):
                 if n == 0 and k == 0:
@@ -197,17 +202,18 @@ def test_c7_q_to_one_oracles():
                     want = 0
                 else:
                     want = math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
-                assert lp_eval(lah(p10, n, k)) == want, ("lah", n, k)
+                assert lah10(n, k).eval_at_one() == want, ("lah", n, k)
         bells = _bell_oracle(10)
         for n in range(11):
-            assert lp_eval(dowling(p10, 1, n)) == bells[n], ("bell", n)
+            assert dowling(p10, 1, n).eval_at_one() == bells[n], ("bell", n)
         for p in GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(1, 11):
                 for k in range(n + 1):
-                    got = lp_eval(lah(p, n, k))
-                    want = lp_eval(lah(p, n - 1, k - 1)) + (
+                    got = lah(n, k).eval_at_one()
+                    want = lah(n - 1, k - 1).eval_at_one() + (
                         2 * p.r + k * p.m + (n - 1) * p.m
-                    ) * lp_eval(lah(p, n - 1, k))
+                    ) * lah(n - 1, k).eval_at_one()
                     assert got == want, ("cheon-jung", p, n, k)
 
     _report("7 q-to-one-oracles", body)
@@ -217,23 +223,22 @@ def test_c8_erratum_findings(tmp_path):
     def body():
         p10, p11 = Params(1, 0), Params(1, 1)
         # Second-kind recurrence sign: entry (1, 1) at (m, r) = (1, 1).
-        from qwhitney.triangles import whitney2_verbatim
-
-        assert whitney2_verbatim(p11, 1, 1) == q_power(-1)
-        assert whitney2(p11, 1, 1) == q_power(1)
+        assert get_triangle(FamilyId.W2_VERBATIM, p11).value(1, 1) == q_power(-1)
+        assert get_triangle(FamilyId.W2, p11).value(1, 1) == q_power(1)
         # Composition identity as stated: (n, j) = (2, 2) at (m, r) = (1, 0).
         assert lah_via_composition(Variant.VERBATIM, p10, 2, 2) == ONE
-        assert lah(p10, 2, 2) == q_power(2)
+        assert get_triangle(FamilyId.LAH, p10).value(2, 2) == q_power(2)
         # Row-sum formula as stated at n = 2, (m, r) = (1, 0).
         assert dowling_qi(Variant.VERBATIM, p10, 2) == LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})
         assert dowling(p10, 1, 2) == LaurentPoly({0: 1, 1: 1})
         # Vertical recurrence as stated at (n, k) = (1, 0), (m, r) = (1, 1).
-        assert lah_vertical(Variant.VERBATIM, p11, 1, 0) != lah(p11, 2, 1)
+        assert lah_vertical(Variant.VERBATIM, p11, 1, 0) != get_triangle(FamilyId.LAH, p11).value(2, 1)
         # Unit-diagonal boundary claim flagged exactly when the exponent is nonzero.
         for p in GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(11):
                 exponent = 2 * p.r * n + p.m * n * (n - 1)
-                assert (lah(p, n, n) == ONE) == (exponent == 0), (p, n)
+                assert (lah(n, n) == ONE) == (exponent == 0), (p, n)
         # Full audit over the default grid: exit 0 with the findings present.
         report_path = tmp_path / "audit.json"
         code = cli_main(["audit", "--quiet", "--json", str(report_path)])
@@ -277,7 +282,7 @@ def test_c9_kernel_properties():
             b, c = rand_poly(), rand_poly()
             if b.is_zero():
                 b = ONE
-            assert lp_exact_div(b * c, b) == c
+            assert (b * c).exact_div(b) == c
         for a in range(-50, 51):
             for b in range(-50, 51):
                 assert q_bracket(a + b) == q_bracket(a) + q_power(a) * q_bracket(b)

@@ -16,7 +16,7 @@ import pytest
 import qwhitney
 from qwhitney.cli import main, parse_grid
 from qwhitney.qalg import LaurentPoly
-from qwhitney.triangles import Params, lah, whitney2
+from qwhitney.triangles import FamilyId, Params, get_triangle
 
 
 def run_cli(args):
@@ -24,6 +24,19 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+def run_to_dev_full(argv):
+    """(exit code, stderr) of `qwhitney ARGV > /dev/full` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwhitney.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    return proc.returncode, proc.stderr.decode()
+
+
+needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
 
 
 def readme_examples():
@@ -59,11 +72,11 @@ class TestTable:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["family"] == "lah" and doc["m"] == 2 and doc["r"] == -1
-        params = Params(2, -1)
+        lah = get_triangle(FamilyId.LAH, Params(2, -1)).value
         for n, row in enumerate(doc["rows"]):
             assert len(row) == n + 1
             for k, cell in enumerate(row):
-                assert LaurentPoly.from_json_dict(cell) == lah(params, n, k)
+                assert LaurentPoly({t["e"]: int(t["c"]) for t in cell["terms"]}) == lah(n, k)
 
     def test_csv(self, capsys):
         assert run_cli(["table", "--family", "w2", "--m", "1", "--r", "0", "--nmax", "2", "--format", "csv"]) == 0
@@ -78,16 +91,14 @@ class TestTable:
         assert "q^{-1}" in out
 
     def test_specialization_commutes(self, capsys):
-        from qwhitney.triangles import whitney1_falling
-
         args = ["table", "--family", "w1", "--m", "2", "--r", "-1", "--nmax", "4"]
         assert run_cli(args + ["--q", "2/3"]) == 0
         specialized = capsys.readouterr().out.splitlines()
         point = Fraction(2, 3)
-        params = Params(2, -1)
+        w1 = get_triangle(FamilyId.W1_FALLING, Params(2, -1)).value
         for n, spec_row in enumerate(specialized):
             for k, spec in enumerate(spec_row.split(", ")):
-                assert Fraction(spec) == whitney1_falling(params, n, k).eval_at(point)
+                assert Fraction(spec) == w1(n, k).eval_at(point)
 
     # sha256 of `qwhitney table --family w1 --m 2 --r -3 --nmax 12 --q=-1/3 --format FMT`:
     # the evaluated cells in the nested JSON rows and in the LaTeX tabular.
@@ -157,7 +168,7 @@ class TestTable:
         assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
         assert not target.exists()
 
-    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    @needs_dev_full
     @pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
     def test_write_error_mid_stream_exits_two(self, fmt, capsys):
         # 170 kB of text: the device refuses a write after the file is open.
@@ -167,6 +178,15 @@ class TestTable:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "cannot write /dev/full" in captured.err
         assert "Traceback" not in captured.err
+
+    @needs_dev_full
+    @pytest.mark.parametrize("nmax", ["1", "12"])
+    def test_stdout_write_error_exits_two(self, nmax):
+        # Row 1 fits the stdout buffer, so only the flush fails; 170 kB of
+        # text fails mid-stream.
+        code, err = run_to_dev_full(["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", nmax])
+        assert code == 2
+        assert err == "qwhitney: error: cannot write stdout: No space left on device\n"
 
     def test_reader_closing_stdout_early(self):
         # `qwhitney table ... | head -c 20`: 1.6 MB of text, far more than a pipe
@@ -291,10 +311,10 @@ class TestExpand:
     def test_matches_triangle(self, capsys):
         assert run_cli(["expand", "--k", "2", "--m", "2", "--r", "-1", "--order", "6", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
-        params = Params(2, -1)
+        w2 = get_triangle(FamilyId.W2, Params(2, -1)).value
         for line in lines:
             n, value = line.split(",", 1)
-            assert value.strip('"') == str(whitney2(params, int(n), 2))
+            assert value.strip('"') == str(w2(int(n), 2))
 
     # The argument sets of the digests below: `wide` reaches Kronecker slots
     # wider than 8 bytes (39 products), so its digest pins that byte codec.
@@ -388,6 +408,13 @@ class TestAudit:
         assert doc["summary"]["fail"] > 0  # expected verbatim findings
         assert doc["errata"]
 
+
+    @needs_dev_full
+    def test_stdout_write_error_exits_two(self):
+        # Exit 1 would read as a genuine audit failure.
+        code, err = run_to_dev_full(["audit", "--grid", "nmax=4"])
+        assert code == 2
+        assert err == "qwhitney: error: cannot write stdout: No space left on device\n"
 
     def test_unwritable_json_exits_two(self, tmp_path, capsys):
         # Exit 1 means a genuine audit failure, so a write error must not use it.

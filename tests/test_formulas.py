@@ -9,11 +9,10 @@ from qwhitney.qalg import (
     ONE,
     Q,
     ZERO,
-    lp_exact_div,
     q_bracket,
     q_power,
 )
-from qwhitney.triangles import Params, dowling, lah, whitney2
+from qwhitney.triangles import FamilyId, Params, dowling, get_triangle
 from qwhitney.formulas import (
     Variant,
     _div_factorial_base,
@@ -30,7 +29,6 @@ from qwhitney.formulas import (
     whitney2_vertical,
     whitney_from_lah,
 )
-from qwhitney.upoly import upoly_coeff
 
 P10 = Params(1, 0)
 P11 = Params(1, 1)
@@ -81,8 +79,8 @@ class TestFactorialDivision:
                 divisor = q_bracket(m) ** k
                 for i in range(1, k + 1):
                     divisor = divisor * subs_q_power(q_bracket(i), m)
-                value = whitney2(Params(m, 1), 6, k) * divisor
-                assert _div_factorial_base(value, k, m) == lp_exact_div(value, divisor)
+                value = get_triangle(FamilyId.W2, Params(m, 1)).value(6, k) * divisor
+                assert _div_factorial_base(value, k, m) == value.exact_div(divisor)
 
     def test_non_divisible_propagates(self):
         with pytest.raises(NonDivisibleError):
@@ -103,16 +101,18 @@ class TestWhitney2Paths:
         assert whitney2_explicit(P11, 2, 2) == q_power(3)
 
     def test_vertical_examples(self):
-        assert whitney2_vertical(P10, 1, 0) == whitney2(P10, 2, 1) == ONE
+        assert whitney2_vertical(P10, 1, 0) == get_triangle(FamilyId.W2, P10).value(2, 1) == ONE
         assert whitney2_vertical(P11, 1, 0) == LaurentPoly({1: 2, 2: 1})
+        w2 = get_triangle(FamilyId.W2, P21).value
         for k in range(4):
-            assert whitney2_vertical(P21, k, k) == whitney2(P21, k + 1, k + 1)
+            assert whitney2_vertical(P21, k, k) == w2(k + 1, k + 1)
 
     def test_horizontal_examples(self):
         assert whitney2_horizontal(P10, 2, 1) == ONE
         assert whitney2_horizontal(P11, 1, 0) == ONE
+        w2 = get_triangle(FamilyId.W2, P21).value
         for n in range(4):
-            assert whitney2_horizontal(P21, n, n) == whitney2(P21, n, n)
+            assert whitney2_horizontal(P21, n, n) == w2(n, n)
 
     def test_rational_gf_examples(self):
         s = whitney2_rational_gf(P10, 0, 3)
@@ -121,7 +121,7 @@ class TestWhitney2Paths:
         s = whitney2_rational_gf(P11, 0, 2)
         assert s.coeffs() == (ONE, ONE, ONE)
         s = whitney2_rational_gf(P10, 2, 3)
-        assert upoly_coeff(s, 3) == LaurentPoly({1: 2, 2: 1})
+        assert s.coeff(3) == LaurentPoly({1: 2, 2: 1})
 
     def test_rational_gf_rejects_short_order(self):
         with pytest.raises(ValueError):
@@ -129,17 +129,18 @@ class TestWhitney2Paths:
 
     def test_all_paths_agree_on_grid(self):
         for p in GRID:
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(7):
                 for k in range(n + 1):
-                    w = whitney2(p, n, k)
+                    w = w2(n, k)
                     assert whitney2_explicit(p, n, k) == w, ("explicit", p, n, k)
                     assert whitney2_horizontal(p, n, k) == w, ("horizontal", p, n, k)
                     if n < 6:
-                        assert whitney2_vertical(p, n, k) == whitney2(p, n + 1, k + 1)
+                        assert whitney2_vertical(p, n, k) == w2(n + 1, k + 1)
             series = [whitney2_rational_gf(p, k, 6) for k in range(7)]
             for k in range(7):
                 for n in range(7):
-                    assert upoly_coeff(series[k], n) == whitney2(p, n, k), ("gf", p, n, k)
+                    assert series[k].coeff(n) == w2(n, k), ("gf", p, n, k)
 
 
 class TestLahPaths:
@@ -151,7 +152,8 @@ class TestLahPaths:
 
     def test_newton_examples(self):
         # Row n of q-Newton interpolation coefficients is the explicit sum at k = 0..n.
-        assert [lah_explicit(P10, 2, k) for k in range(3)] == [lah(P10, 2, k) for k in range(3)]
+        lah = get_triangle(FamilyId.LAH, P10).value
+        assert [lah_explicit(P10, 2, k) for k in range(3)] == [lah(2, k) for k in range(3)]
         assert [lah_explicit(P11, 1, k) for k in range(2)] == [q_bracket(2), q_power(2)]
         assert [lah_explicit(Params(3, -2), 0, k) for k in range(1)] == [ONE]
 
@@ -162,30 +164,33 @@ class TestLahPaths:
         assert lah_explicit(P11, 2, 2) == q_power(6)
 
     def test_vertical_corrected_examples(self):
-        assert lah_vertical(Variant.CORRECTED, P11, 1, 0) == lah(P11, 2, 1)
+        assert lah_vertical(Variant.CORRECTED, P11, 1, 0) == get_triangle(FamilyId.LAH, P11).value(2, 1)
         got = q_power(2) * q_bracket(4) + q_power(3) * q_bracket(2)
         assert lah_vertical(Variant.CORRECTED, P11, 1, 0) == got
+        lah = get_triangle(FamilyId.LAH, P21).value
         for k in range(4):
-            assert lah_vertical(Variant.CORRECTED, P21, k, k) == lah(P21, k + 1, k + 1)
+            assert lah_vertical(Variant.CORRECTED, P21, k, k) == lah(k + 1, k + 1)
 
     def test_vertical_verbatim_mismatch(self):
-        assert lah_vertical(Variant.VERBATIM, P11, 1, 0) != lah(P11, 2, 1)
+        assert lah_vertical(Variant.VERBATIM, P11, 1, 0) != get_triangle(FamilyId.LAH, P11).value(2, 1)
 
     def test_horizontal_examples(self):
         assert lah_horizontal(P11, 1, 1) == q_power(2)
-        assert lah_horizontal(P10, 2, 1) == lah(P10, 2, 1)
+        assert lah_horizontal(P10, 2, 1) == get_triangle(FamilyId.LAH, P10).value(2, 1)
+        lah = get_triangle(FamilyId.LAH, P21).value
         for n in range(4):
-            assert lah_horizontal(P21, n, n) == lah(P21, n, n)
+            assert lah_horizontal(P21, n, n) == lah(n, n)
 
     def test_all_paths_agree_on_grid(self):
         for p in GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(7):
                 for k in range(n + 1):
-                    val = lah(p, n, k)
+                    val = lah(n, k)
                     assert lah_explicit(p, n, k) == val, ("explicit", p, n, k)
                     assert lah_horizontal(p, n, k) == val, ("horizontal", p, n, k)
                     if n < 6:
-                        assert lah_vertical(Variant.CORRECTED, p, n, k) == lah(p, n + 1, k + 1)
+                        assert lah_vertical(Variant.CORRECTED, p, n, k) == lah(n + 1, k + 1)
 
 
 class TestCompositions:
@@ -197,13 +202,13 @@ class TestCompositions:
 
     def test_lah_composition_verbatim_counterexample(self):
         assert lah_via_composition(Variant.VERBATIM, P10, 2, 2) == ONE
-        assert lah(P10, 2, 2) == q_power(2)
+        assert get_triangle(FamilyId.LAH, P10).value(2, 2) == q_power(2)
 
     def test_whitney_from_lah(self):
         assert whitney_from_lah(Variant.CORRECTED, P10, 2, 2) == Q
         assert whitney_from_lah(Variant.CORRECTED, Params(3, -2), 0, 0) == ONE
         assert whitney_from_lah(Variant.VERBATIM, P11, 2, 2) == q_power(5)
-        assert whitney2(P11, 2, 2) == q_power(3)
+        assert get_triangle(FamilyId.W2, P11).value(2, 2) == q_power(3)
 
     def test_dowling_qi(self):
         assert dowling_qi(Variant.CORRECTED, P10, 2) == LaurentPoly({0: 1, 1: 1})
@@ -212,8 +217,10 @@ class TestCompositions:
 
     def test_corrected_chain_on_grid(self):
         for p in GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(7):
                 assert dowling_qi(Variant.CORRECTED, p, n) == dowling(p, 1, n)
                 for j in range(n + 1):
-                    assert lah_via_composition(Variant.CORRECTED, p, n, j) == lah(p, n, j)
-                    assert whitney_from_lah(Variant.CORRECTED, p, n, j) == whitney2(p, n, j)
+                    assert lah_via_composition(Variant.CORRECTED, p, n, j) == lah(n, j)
+                    assert whitney_from_lah(Variant.CORRECTED, p, n, j) == w2(n, j)

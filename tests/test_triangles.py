@@ -6,7 +6,7 @@ import math
 import pytest
 
 from qwhitney.cli import main
-from qwhitney.qalg import LaurentPoly, ONE, Q, ZERO, lp_eval, q_bracket, q_power
+from qwhitney.qalg import LaurentPoly, ONE, Q, ZERO, q_bracket, q_power
 from qwhitney.triangles import (
     FamilyId,
     InverseMatrix,
@@ -18,11 +18,7 @@ from qwhitney.triangles import (
     dowling,
     get_triangle,
     invert_unit_triangular,
-    lah,
     lah_row_sum,
-    whitney1_falling,
-    whitney2,
-    whitney2_verbatim,
 )
 from qwhitney.upoly import UPoly, falling_factorial_u, rising_factorial_u
 
@@ -51,16 +47,18 @@ class TestParams:
 
 class TestWhitney2:
     def test_examples(self):
-        assert whitney2(P10, 3, 2) == LaurentPoly({1: 2, 2: 1})
-        assert whitney2(P11, 2, 2) == q_power(3)
-        assert whitney2(P10, 5, 7) == ZERO
-        assert whitney2(P10, -1, 0) == ZERO
+        w2 = get_triangle(FamilyId.W2, P10).value
+        assert w2(3, 2) == LaurentPoly({1: 2, 2: 1})
+        assert get_triangle(FamilyId.W2, P11).value(2, 2) == q_power(3)
+        assert w2(5, 7) == ZERO
+        assert w2(-1, 0) == ZERO
 
     def test_boundaries(self):
         for p in SMALL_GRID:
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
-                assert whitney2(p, n, 0) == q_bracket(p.r) ** n
-                assert whitney2(p, n, n) == q_power(p.r * n + p.m * math.comb(n, 2))
+                assert w2(n, 0) == q_bracket(p.r) ** n
+                assert w2(n, n) == q_power(p.r * n + p.m * math.comb(n, 2))
 
     def test_q_to_one_is_stirling2_at_1_0(self):
         rows = [[1]]
@@ -72,16 +70,18 @@ class TestWhitney2:
                     for k in range(n + 1)
                 ]
             )
+        w2 = get_triangle(FamilyId.W2, P10).value
         for n in range(9):
             for k in range(n + 1):
-                assert lp_eval(whitney2(P10, n, k)) == rows[n][k]
+                assert w2(n, k).eval_at_one() == rows[n][k]
 
     def test_horizontal_gf(self):
         for p in SMALL_GRID:
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
                 acc = UPoly.zero()
                 for k in range(n + 1):
-                    acc = acc + falling_factorial_u(p.m, p.r, k) * whitney2(p, n, k)
+                    acc = acc + falling_factorial_u(p.m, p.r, k) * w2(n, k)
                 assert acc == UPoly.u_power(n), (p, n)
 
 
@@ -89,14 +89,17 @@ class TestWhitney2Verbatim:
     def test_agrees_at_r_zero(self):
         for m in (1, 2, 3):
             p = Params(m, 0)
+            verbatim = get_triangle(FamilyId.W2_VERBATIM, p).value
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
                 for k in range(n + 1):
-                    assert whitney2_verbatim(p, n, k) == whitney2(p, n, k)
+                    assert verbatim(n, k) == w2(n, k)
 
     def test_examples_at_r_one(self):
-        assert whitney2_verbatim(P11, 1, 1) == q_power(-1)
-        assert whitney2_verbatim(P11, 1, 0) == q_bracket(-1)
-        assert whitney2_verbatim(P11, 1, 1) != whitney2(P11, 1, 1)
+        verbatim = get_triangle(FamilyId.W2_VERBATIM, P11).value
+        assert verbatim(1, 1) == q_power(-1)
+        assert verbatim(1, 0) == q_bracket(-1)
+        assert verbatim(1, 1) != get_triangle(FamilyId.W2, P11).value(1, 1)
 
     def test_is_the_second_kind_triangle_at_minus_r(self):
         assert FamilyId.W2_VERBATIM not in _WEIGHTS
@@ -110,18 +113,21 @@ class TestWhitney2Verbatim:
 
 class TestScaledForms:
     def test_examples(self):
-        assert get_triangle(FamilyId.W2_FORM2, P11).value(1, 1) == ONE
+        star = get_triangle(FamilyId.W2_FORM2, P11).value
+        w2 = get_triangle(FamilyId.W2, P11).value
+        assert star(1, 1) == ONE
         assert get_triangle(FamilyId.W2_FORM3, P11).value(1, 1) == Q
         for n in range(5):
-            assert get_triangle(FamilyId.W2_FORM2, P11).value(n, 0) == whitney2(P11, n, 0)
+            assert star(n, 0) == w2(n, 0)
 
     def test_scaling_relations(self):
         for p in SMALL_GRID:
             star = get_triangle(FamilyId.W2_FORM2, p).value
             tilde = get_triangle(FamilyId.W2_FORM3, p).value
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(8):
                 for k in range(n + 1):
-                    w = whitney2(p, n, k)
+                    w = w2(n, k)
                     assert star(n, k) == q_power(-k * p.r - p.m * math.comb(k, 2)) * w
                     assert tilde(n, k) == q_power(k * p.r) * star(n, k)
                     assert tilde(n, k) == q_power(-p.m * math.comb(k, 2)) * w
@@ -131,18 +137,18 @@ class TestWhitney1:
     def test_table_values(self):
         for p in SMALL_GRID:
             m, r = p.m, p.r
-            assert whitney1_falling(p, 1, 1) == q_power(-r)
-            assert whitney1_falling(p, 2, 1) == -(
-                q_power(-(2 * r + m)) * (q_bracket(r) + q_bracket(r + m))
-            )
-        assert whitney1_falling(P10, 2, 0) == ZERO
+            w1 = get_triangle(FamilyId.W1_FALLING, p).value
+            assert w1(1, 1) == q_power(-r)
+            assert w1(2, 1) == -(q_power(-(2 * r + m)) * (q_bracket(r) + q_bracket(r + m)))
+        assert get_triangle(FamilyId.W1_FALLING, P10).value(2, 0) == ZERO
 
     def test_rows_are_falling_coefficients(self):
         for p in SMALL_GRID:
+            w1 = get_triangle(FamilyId.W1_FALLING, p).value
             for n in range(9):
                 fall = falling_factorial_u(p.m, p.r, n)
                 for k in range(n + 1):
-                    assert whitney1_falling(p, n, k) == fall.coeff(k), (p, n, k)
+                    assert w1(n, k) == fall.coeff(k), (p, n, k)
 
     def test_rising_examples(self):
         assert get_triangle(FamilyId.W1_RISING, P11).value(2, 2) == q_power(3)
@@ -161,60 +167,67 @@ class TestWhitney1:
         for p in SMALL_GRID:
             rising = get_triangle(FamilyId.W1_RISING, p).value
             for n in range(9):
-                flipped = Params(p.m, -p.r - (n - 1) * p.m)
+                w1 = get_triangle(FamilyId.W1_FALLING, Params(p.m, -p.r - (n - 1) * p.m)).value
                 for k in range(n + 1):
-                    assert rising(n, k) == whitney1_falling(flipped, n, k)
+                    assert rising(n, k) == w1(n, k)
 
     def test_orthogonality(self):
         for p in SMALL_GRID:
+            w1 = get_triangle(FamilyId.W1_FALLING, p).value
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(8):
                 for j in range(n + 1):
                     want = ONE if n == j else ZERO
                     left = ZERO
                     right = ZERO
                     for k in range(j, n + 1):
-                        left = left + whitney1_falling(p, n, k) * whitney2(p, k, j)
-                        right = right + whitney2(p, n, k) * whitney1_falling(p, k, j)
+                        left = left + w1(n, k) * w2(k, j)
+                        right = right + w2(n, k) * w1(k, j)
                     assert left == want and right == want, (p, n, j)
 
 
 class TestLah:
     def test_examples(self):
-        assert lah(P10, 2, 1) == LaurentPoly({0: 1, 1: 1})
-        assert lah(P11, 2, 1) == LaurentPoly({2: 1, 3: 2, 4: 2, 5: 1})
-        assert lah(P11, 2, 2) == q_power(6)
+        lah = get_triangle(FamilyId.LAH, P11).value
+        assert get_triangle(FamilyId.LAH, P10).value(2, 1) == LaurentPoly({0: 1, 1: 1})
+        assert lah(2, 1) == LaurentPoly({2: 1, 3: 2, 4: 2, 5: 1})
+        assert lah(2, 2) == q_power(6)
 
     def test_boundaries(self):
         for p in SMALL_GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(9):
-                assert lah(p, n, n) == q_power(2 * p.r * n + p.m * n * (n - 1))
+                assert lah(n, n) == q_power(2 * p.r * n + p.m * n * (n - 1))
                 want = ONE
                 for i in range(n):
                     want = want * q_bracket(2 * p.r + i * p.m)
-                assert lah(p, n, 0) == want
+                assert lah(n, 0) == want
 
     def test_horizontal_gf(self):
         for p in SMALL_GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(9):
                 acc = UPoly.zero()
                 for k in range(n + 1):
-                    acc = acc + falling_factorial_u(p.m, 0, k) * lah(p, n, k)
+                    acc = acc + falling_factorial_u(p.m, 0, k) * lah(n, k)
                 assert acc == rising_factorial_u(p.m, 2 * p.r, n), (p, n)
 
     def test_q_to_one_classical_lah(self):
+        lah = get_triangle(FamilyId.LAH, P10).value
         for n in range(1, 9):
             for k in range(1, n + 1):
                 want = math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
-                assert lp_eval(lah(P10, n, k)) == want
+                assert lah(n, k).eval_at_one() == want
 
     def test_q_to_one_cheon_jung_recurrence(self):
         for p in SMALL_GRID:
+            lah = get_triangle(FamilyId.LAH, p).value
             for n in range(1, 9):
                 for k in range(n + 1):
-                    got = lp_eval(lah(p, n, k))
-                    want = lp_eval(lah(p, n - 1, k - 1)) + (
+                    got = lah(n, k).eval_at_one()
+                    want = lah(n - 1, k - 1).eval_at_one() + (
                         2 * p.r + k * p.m + (n - 1) * p.m
-                    ) * lp_eval(lah(p, n - 1, k))
+                    ) * lah(n - 1, k).eval_at_one()
                     assert got == want
 
 
@@ -227,7 +240,7 @@ class TestRowSums:
     def test_dowling_bell_limit(self):
         bells = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
         for n, b in enumerate(bells):
-            assert lp_eval(dowling(P10, 1, n)) == b
+            assert dowling(P10, 1, n).eval_at_one() == b
 
     def test_dowling_rejects_bad_form(self):
         with pytest.raises(ValueError):
@@ -243,9 +256,10 @@ class TestInversion:
     def test_inverse_of_falling_is_whitney2(self):
         for p in SMALL_GRID:
             inv = invert_unit_triangular(FamilyId.W1_FALLING, p, 8)
+            w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
                 for k in range(n + 1):
-                    assert inv.value(n, k) == whitney2(p, n, k), (p, n, k)
+                    assert inv.value(n, k) == w2(n, k), (p, n, k)
 
     def test_rising_inverse_example(self):
         inv = invert_unit_triangular(FamilyId.W1_RISING, P10, 2)

@@ -11,7 +11,6 @@ from qwhitney.upoly import (
     bracket_linear,
     falling_factorial_u,
     rising_factorial_u,
-    upoly_coeff,
     useries_inverse,
 )
 
@@ -126,11 +125,11 @@ class TestProductsMatchNaive:
 
 class TestUPolyArithmetic:
     def test_coeff_out_of_range(self):
-        assert upoly_coeff(UPoly.one(), 5) == ZERO
-        assert upoly_coeff(UPoly((ZERO, ONE, Q)), 2) == Q
+        assert UPoly.one().coeff(5) == ZERO
+        assert UPoly((ZERO, ONE, Q)).coeff(2) == Q
 
     def test_coeff_constant_product(self):
-        got = upoly_coeff(rising_factorial_u(1, 2, 2), 0)
+        got = rising_factorial_u(1, 2, 2).coeff(0)
         assert got == q_bracket(2) * q_bracket(3)
 
     def test_trailing_zeros_trimmed(self):
