@@ -29,6 +29,11 @@ class NonUnitDiagonalError(ArithmeticError):
         super().__init__(f"diagonal entry at n={n} is {entry}, not a unit monomial")
         self.n, self.entry = n, entry
 
+    def __reduce__(self):
+        # Rebuilt from (n, entry), not from the message: an audit worker
+        # process sends the error back pickled.
+        return type(self), (self.n, self.entry)
+
 
 @dataclass(frozen=True)
 class Params:

@@ -1,13 +1,16 @@
 """Tests for the identity registry, grid runner and report assembly."""
 
 import gc
+import multiprocessing
+import os
 import re
 import weakref
 from pathlib import Path
 
 import pytest
+from multiprocessing.pool import RemoteTraceback
 
-from qwhitney.qalg import ONE, Q, q_power
+from qwhitney.qalg import ONE, Q, SpanTooWideError, q_power
 from qwhitney.audit import (
     DEFAULT_GRID,
     Counterexample,
@@ -361,6 +364,29 @@ class TestRunAll:
         assert {res.check for res in report.results} == set(REGISTRY)
         counts = report.counts
         assert counts["total"] == counts["pass"] + counts["fail"]
+
+
+class TestWorkers:
+    """Grid points run in forked workers, one per usable CPU, or in process."""
+
+    GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
+    # Both points are too wide to fill; the first one's error is the one raised.
+    FAILING = ParamGrid((1,), (17000000, 17000001), 2)
+
+    def test_pool_changes_nothing(self, monkeypatch):
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            report = run_all(self.GRID)
+            assert multiprocessing.active_children() == []
+            assert report.counts["fail"] > 0
+            reports.append(report.to_json_str())
+            with pytest.raises(SpanTooWideError, match="span 17000000 ") as err:
+                run_all(self.FAILING)
+            assert multiprocessing.active_children() == []
+            pooled = len(cpus) > 1 and "fork" in multiprocessing.get_all_start_methods()
+            assert isinstance(err.value.__cause__, RemoteTraceback) is pooled
+        assert reports[0] == reports[1]
 
 
 class TestClassicalLimits:

@@ -416,6 +416,24 @@ class TestAudit:
         assert code == 2
         assert err == "qwhitney: error: cannot write stdout: No space left on device\n"
 
+    def test_first_failing_point_reported_on_any_cpu_count(self, monkeypatch, capsys):
+        # Workers may finish the points out of order; the error reported is
+        # the first failing point's, as in one process.
+        args, outcomes = ["audit", "--grid", "m=1 r=17000000,17000001 nmax=2"], []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            code = run_cli(args)
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and "exponent span 17000000 " in outcomes[0][1]
+
+    def test_import_leaves_multiprocessing_out(self):
+        # The audit imports it only when it starts workers; at import it
+        # would add about 20 ms to every command's start.
+        env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
+        code = "import sys, qwhitney.cli; sys.exit('multiprocessing' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
     def test_unwritable_json_exits_two(self, tmp_path, capsys):
         # Exit 1 means a genuine audit failure, so a write error must not use it.
         target = tmp_path / "missing" / "report.json"

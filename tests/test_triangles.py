@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 
 import pytest
 
@@ -294,6 +295,9 @@ class TestInversion:
         with pytest.raises(NonUnitDiagonalError) as err:
             InverseMatrix(tri).value(1, 1)
         assert (err.value.n, err.value.entry) == (1, q_bracket(2))
+        # An audit worker process sends the error back pickled.
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (copy.n, copy.entry, str(copy)) == (1, q_bracket(2), str(err.value))
 
     def test_out_of_range_is_zero(self):
         inv = invert_unit_triangular(FamilyId.W2, P10, 3)
