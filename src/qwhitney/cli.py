@@ -118,16 +118,25 @@ def _tabular(cols: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
 
 def _grid(args: argparse.Namespace, rows: Iterable[Iterable[LaurentPoly]]) -> Iterator[str]:
     """Rows of values as comma-separated text lines or as the rows of a LaTeX
-    tabular with nmax + 1 columns, yielded one cell at a time with its
-    separator, so only one formatted cell is held at once."""
+    tabular with nmax + 1 columns, yielded one cell at a time, with its
+    separator and delimiters as chunks of their own, so only one formatted
+    cell is held at once and none is copied."""
     if args.format == "text":
         for row in rows:
             for k, v in enumerate(row):
-                yield f", {_cell(v, args)}" if k else _cell(v, args)
+                if k:
+                    yield ", "
+                yield _cell(v, args)
             yield "\n"
         return
-    cells = ((f"{' & ' if k else ''}${_cell(v, args)}$" for k, v in enumerate(row)) for row in rows)
-    yield from _tabular("r" * (args.nmax + 1), cells)
+
+    def cells(row: Iterable[LaurentPoly]) -> Iterator[str]:
+        for k, v in enumerate(row):
+            yield " & $" if k else "$"
+            yield _cell(v, args)
+            yield "$"
+
+    yield from _tabular("r" * (args.nmax + 1), map(cells, rows))
 
 
 def cmd_table(args: argparse.Namespace) -> int:

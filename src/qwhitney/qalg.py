@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate, repeat
+from functools import cache, lru_cache
+from itertools import accumulate, chain, islice, repeat
 from operator import add, index, neg, sub
 from sys import byteorder
 from typing import Iterable, Mapping
@@ -134,6 +134,26 @@ def _kronecker(
         return _trim(v0, array(code, data))
     starts = range(0, len(data), size)
     return _trim(v0, [int.from_bytes(data[i : i + size], byteorder, signed=True) for i in starts])
+
+
+# The rendering suffixes of a run of _SUFFIX_BLOCK exponents are made once
+# and kept in a memo of at most _SUFFIX_BLOCKS blocks.  The suffix of an
+# exponent e with |e| < _SUFFIX_FAR takes at most 72 bytes with its slot in
+# the block, so the memo holds at most about 4.7 MB.
+_SUFFIX_BLOCK = 1024
+_SUFFIX_BLOCKS = 64
+_SUFFIX_FAR = 10**9
+
+
+@lru_cache(maxsize=_SUFFIX_BLOCKS)
+def _suffix_block(times: str, lbrace: str, rbrace: str, b: int) -> tuple[str, ...]:
+    """The suffixes of exponents b * _SUFFIX_BLOCK up to the next block's:
+    `times` q^e with e in braces, but "" at e = 0 and `times` q at e = 1."""
+    lo = b * _SUFFIX_BLOCK
+    out = [f"{times}q^{lbrace}{e}{rbrace}" for e in range(lo, lo + _SUFFIX_BLOCK)]
+    if not b:
+        out[:2] = "", f"{times}q"
+    return tuple(out)
 
 
 class LaurentPoly:
@@ -361,8 +381,19 @@ class LaurentPoly:
             if self._c and self._v < 0:
                 raise EvalAtZeroError("negative exponent evaluated at q = 0")
             return Fraction(self.coeff(0))
-        v = self._v
-        return sum((c * x ** (v + i) for i, c in enumerate(self._c) if c), Fraction(0))
+        c, v = self._c, self._v
+        if not c:
+            return Fraction(0)
+        # Horner's rule in integers at x = p/d: num = sum c_i p^i d^(k-i) for
+        # the last index k, so the value is x^v num / d^k, one Fraction.
+        p, d = x.numerator, x.denominator
+        num, dk = c[-1], 1
+        for ci in c[-2::-1]:
+            dk *= d
+            num = num * p + ci * dk
+        if v >= 0:
+            return Fraction(num * p**v, dk * d**v)
+        return Fraction(num * d**-v, dk * p**-v)
 
     def eval_at_one(self) -> Fraction:
         """The q -> 1 specialization, i.e. the sum of all coefficients."""
@@ -385,30 +416,38 @@ class LaurentPoly:
 
     def _render(self, times: str, lbrace: str, rbrace: str) -> str:
         """Terms in ascending exponent order; `times` joins a coefficient to
-        its power of q, and the braces enclose an exponent other than 0, 1."""
+        its power of q, and the braces enclose an exponent other than 0, 1.
+
+        Three slots per term, filled in C: separator, coefficient and suffix.
+        The suffixes are one slice of the blocks of _suffix_block, a memo of
+        at most 64 blocks of 1,024 exponents (about 4.7 MB), so each exponent
+        is formatted once per process; then only the zero and unit terms are
+        fixed up."""
         c = self._c
         if not c:
             return "0"
         v, n = self._v, len(c)
-        # Five slots per term, filled in C: separator, coefficient, power,
-        # exponent, closing brace; then only the special terms are fixed up.
-        parts = [" + ", "", f"{times}q^{lbrace}", "", rbrace] * n
+        parts = [" + "] * (3 * n)
         parts[0] = ""
-        parts[1::5] = map(str, c)
-        parts[3::5] = map(str, range(v, v + n))
-        # A zero term is blanked; a coefficient +-1 off exponent 0 is its sign alone.
-        unit = f"q^{lbrace}"
-        for x, lo, hi, fill in ((0, 0, 5, ("",) * 5), (1, 1, 3, ("", unit)), (-1, 1, 3, ("-", unit))):
+        parts[1::3] = map(repr, c)
+        first, lo = divmod(v, _SUFFIX_BLOCK)
+        blocks = range(first, (v + n - 1) // _SUFFIX_BLOCK + 1)
+        # Exponents too long to keep are formatted for this call alone.
+        block = _suffix_block if -_SUFFIX_FAR < v and v + n <= _SUFFIX_FAR else _suffix_block.__wrapped__
+        parts[2::3] = islice(chain.from_iterable(block(times, lbrace, rbrace, b) for b in blocks), lo, lo + n)
+        i = -1
+        for _ in range(c.count(0)):  # a zero term is blanked
+            i = c.index(0, i + 1)
+            parts[3 * i : 3 * i + 3] = "", "", ""
+        # A coefficient +-1 off exponent 0 is its sign alone, before its
+        # suffix without `times`.
+        cut = len(times)
+        for x, sign in ((1, ""), (-1, "-")):
             i = -1
             for _ in range(c.count(x)):
                 i = c.index(x, i + 1)
-                parts[5 * i + lo : 5 * i + hi] = fill
-        if 0 <= -v < n and c[-v]:  # the constant term: its coefficient alone
-            i = 5 * -v
-            parts[i + 1 : i + 5] = str(c[-v]), "", "", ""
-        if 0 <= 1 - v < n and c[1 - v]:  # q itself, with no exponent
-            i = 5 * (1 - v)
-            parts[i + 2 : i + 5] = "q" if c[1 - v] in (1, -1) else f"{times}q", "", ""
+                if i != -v:
+                    parts[3 * i + 1 : 3 * i + 3] = sign, parts[3 * i + 2][cut:]
         # A negative coefficient follows " + "; an exponent's sign follows "^".
         return "".join(parts).replace(" + -", " - ")
 

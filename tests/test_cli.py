@@ -220,6 +220,20 @@ class TestTable:
         assert run_cli(args + ["-o", str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == self.DIGESTS[fmt]
 
+    # sha256 of `qwhitney table --family lah --m 3 --r 3 --nmax 24 --format FMT`:
+    # long cells with exponents past 1,024, as CI pins them.
+    LARGE_DIGESTS = {
+        "json": "5801543d619277049ba3e466ce78515e048576140b52b6387bb654f5ecf0c3f1",
+        "latex": "06a5410e94cc2428bf29748a7551f4b394a9be7fb7b43f595b8a8354104a9b8d",
+        "csv": "9f9be03315d63e7a6a21df760de8fa55dcbbe0bf82e022e5c07542ba129fcac0",
+    }
+
+    @pytest.mark.parametrize("fmt", list(LARGE_DIGESTS))
+    def test_large_table_bytes_unchanged(self, fmt, capsys):
+        args = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "24", "--format", fmt]
+        assert run_cli(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.LARGE_DIGESTS[fmt]
+
     def test_cache_option_removed(self, tmp_path):
         args = ["table", "--family", "lah", "--m", "1", "--r", "1", "--nmax", "3", "--cache", str(tmp_path)]
         assert run_cli(args) == 2

@@ -391,6 +391,27 @@ class TestEval:
     def test_q_to_one_is_eval_at_one(self, a):
         assert a.eval_at_one() == a.eval_at(1)
 
+    @given(
+        st.one_of(polys, dense_polys, wide_polys),
+        st.one_of(st.integers(min_value=-3, max_value=3), st.fractions(min_value=-4, max_value=4, max_denominator=40)),
+    )
+    @example(LaurentPoly({-3: 2, 1: -1}), Fraction(-1, 3))
+    @example(LaurentPoly({-200: -(10**30), -150: 7}), Fraction(5, -7))
+    @example(LaurentPoly({0: 4, 3: -1}), 0)
+    @example(LaurentPoly({-1: 1}), 0)
+    @example(ZERO, Fraction(-2, 9))
+    @example(ZERO, 0)
+    def test_matches_term_by_term_sum(self, p, x):
+        # Independent oracle: one Fraction power per nonzero term, summed.
+        x = Fraction(x)
+        if x == 0 and p and p.valuation() < 0:
+            with pytest.raises(EvalAtZeroError):
+                p.eval_at(x)
+            return
+        expected = sum((c * x**e for e, c in p.terms().items()), Fraction(0))
+        got = p.eval_at(x)
+        assert type(got) is Fraction and got == expected
+
 
 def render_oracle(p: LaurentPoly, times: str, lbrace: str, rbrace: str) -> str:
     # Independent oracle: one string per nonzero term, built term by term.
@@ -414,18 +435,29 @@ def render_oracle(p: LaurentPoly, times: str, lbrace: str, rbrace: str) -> str:
 
 # Runs of coefficients from an offset near 0: interior zeros, +-1 and
 # magnitudes up to 10^30, at exponents 0 and 1 and at negative ones.
+render_coeffs = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(min_value=-(10**30), max_value=10**30))
 render_polys = st.builds(
     lambda lo, cs: LaurentPoly({lo + i: c for i, c in enumerate(cs)}),
     st.integers(min_value=-8, max_value=3),
-    st.lists(
-        st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(min_value=-(10**30), max_value=10**30)),
-        max_size=14,
+    st.lists(render_coeffs, max_size=14),
+)
+# A few terms from a valuation near a multiple of the suffix memo's block,
+# below 0 or above, at offsets that reach into a third block: runs across
+# block edges, spans of more than two blocks and all-negative exponents.
+BLOCK = qalg._SUFFIX_BLOCK
+block_polys = st.builds(
+    lambda v, terms: LaurentPoly({v + e: c for e, c in terms.items()}),
+    st.builds(lambda b, d: b * BLOCK + d, st.integers(min_value=-4, max_value=2), st.integers(min_value=-3, max_value=3)),
+    st.dictionaries(
+        st.one_of(st.integers(min_value=0, max_value=6), st.integers(min_value=2 * BLOCK - 2, max_value=2 * BLOCK + 6)),
+        render_coeffs,
+        max_size=10,
     ),
 )
 
 
 class TestRendering:
-    @given(render_polys)
+    @given(st.one_of(render_polys, block_polys))
     @example(ZERO)
     @example(ONE)
     @example(-ONE)
@@ -436,10 +468,30 @@ class TestRendering:
     @example(LaurentPoly({1: -(10**30)}))
     @example(LaurentPoly({0: -1, 1: -1, 2: -1}))
     @example(LaurentPoly({-1: 1, 3: -1}))
+    @example(LaurentPoly({-BLOCK - 1: 1, -BLOCK: -1, -BLOCK + 1: 5}))
+    @example(LaurentPoly({BLOCK - 1: -1, BLOCK: 1, BLOCK + 1: -5}))
+    @example(LaurentPoly({-1: -1, 0: 1, 1: 1, 2 * BLOCK + 1: -2}))
+    @example(LaurentPoly({-3 * BLOCK - 2: 7, -BLOCK: -1, -1: 1}))
+    @example(LaurentPoly({e: e % 3 - 1 for e in range(-BLOCK - 3, 2 * BLOCK + 3)}))
+    @example(LaurentPoly({qalg._SUFFIX_FAR - 1: -1, qalg._SUFFIX_FAR: 3, qalg._SUFFIX_FAR + 1: 1}))
+    @example(LaurentPoly({-(10**30): -1, -(10**30) + 1: 2}))
     @settings(max_examples=400)
     def test_matches_term_by_term_rendering(self, p):
         assert str(p) == render_oracle(p, "*", "", "")
         assert p.latex() == render_oracle(p, "", "{", "}")
+
+    def test_suffix_memo_stays_bounded(self):
+        memo = qalg._suffix_block
+        memo.cache_clear()
+        blocks = memo.cache_info().maxsize + 3
+        p = LaurentPoly(dict.fromkeys(range(-BLOCK, (blocks - 1) * BLOCK), 1))
+        assert str(p) == render_oracle(p, "*", "", "")
+        assert p.latex() == render_oracle(p, "", "{", "}")
+        info = memo.cache_info()
+        assert info.maxsize == qalg._SUFFIX_BLOCKS and info.currsize == info.maxsize
+        # Exponents of _SUFFIX_FAR or more are formatted without the memo.
+        assert str(LaurentPoly({qalg._SUFFIX_FAR: 2})) == f"2*q^{qalg._SUFFIX_FAR}"
+        assert memo.cache_info().currsize == info.currsize and memo.cache_info().misses == info.misses
 
     def test_canonical_text(self):
         p = LaurentPoly({-2: -1, -1: -1, 0: 2, 1: 3, 3: 1})
