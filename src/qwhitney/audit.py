@@ -632,11 +632,12 @@ def run_all(grid: ParamGrid = DEFAULT_GRID, check_ids: list[str] | None = None) 
     first-seen order) over the grid.
 
     No check reads a verdict from another grid point, so the points run in
-    forked worker processes, one per usable CPU; with one point, one usable
-    CPU or no fork they run in this process.  Forked workers inherit this
-    process's state, filled triangles included, and their results are read
-    in grid order, so the report, and the error of the first failing point,
-    are the same either way.
+    a process pool of forked workers, one per usable CPU; with one point, one
+    usable CPU or no fork they run in this process.  Forked workers inherit
+    this process's state, filled triangles included, and their results are
+    read in grid order, so the report, and the error of the first failing
+    point, are the same either way.  A worker that dies, or whose error
+    cannot be read back, raises `concurrent.futures.process.BrokenProcessPool`.
     """
     ids = list(REGISTRY) if check_ids is None else list(dict.fromkeys(check_ids))
     for check_id in ids:
@@ -651,21 +652,14 @@ def run_all(grid: ParamGrid = DEFAULT_GRID, check_ids: list[str] | None = None) 
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers > 1:
-        # Long-lived workers: every fork happens in Pool.__init__, before the
-        # pool starts its helper threads.
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        try:
-            per_point = list(pool.imap(run, points, chunksize=1))
-        except BaseException as exc:
-            # terminate() can kill a worker that holds the result queue's lock
-            # and then wait for that lock for ever.  So only an interrupt stops
-            # the workers; after a failing point they finish the points sent.
-            if not isinstance(exc, Exception):
-                pool.terminate()
-            raise
-        finally:
-            pool.close()
-            pool.join()
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Workers take SIGINT's default action, so a Ctrl-C kills them at once.
+        with ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"), signal.signal, (signal.SIGINT, signal.SIG_DFL)
+        ) as pool:
+            per_point = list(pool.map(run, points))
     else:
         per_point = [run(params) for params in points]
     # Back into (check, point, variant) order; the sort is stable.

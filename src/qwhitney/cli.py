@@ -11,7 +11,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
 from .qalg import EvalAtZeroError, LaurentPoly
@@ -26,11 +26,16 @@ def _family(name: str) -> FamilyId:
         raise argparse.ArgumentTypeError(f"unknown family {name!r}")
 
 
+_Q_FORM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _q_spec(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if _Q_FORM.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"q must be an integer or p/d fraction, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"q must be an integer or p/d fraction, got {text!r}")
 
 
 def _cell(value: LaurentPoly, args: argparse.Namespace):
@@ -72,8 +77,13 @@ def _write(chunks: Iterable[str], output: str | None) -> None:
             if isinstance(exc, BrokenPipeError):
                 return
             output = "stdout"
-        print(f"qwhitney: error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _error(f"cannot write {output}: {exc.strerror or exc}")
+
+
+def _error(message: str) -> NoReturn:
+    """Report an error on one stderr line, with no usage text, and exit 2."""
+    print(f"qwhitney: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable) -> Iterator[str]:
@@ -228,7 +238,16 @@ def parse_grid(spec: str | None) -> ParamGrid:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    report = run_all(args.grid, args.check or None)
+    try:
+        report = run_all(args.grid, args.check or None)
+    except RuntimeError as exc:
+        # A broken worker pool is the one error reported here; run_all has
+        # imported concurrent.futures if it made a pool, so this costs nothing.
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        _error(f"an audit worker process died: {exc}")
     if not args.quiet:
         _write([report.render_table()], args.output)
     if args.json is not None:
@@ -325,12 +344,21 @@ def main(argv: list[str] | None = None) -> int:
         for check_id in args.check or ():
             if check_id not in REGISTRY:
                 parser.error(f"unknown check id {check_id!r}")
+    # Parsed values stay under the limit on the digits of an int <-> str
+    # conversion; a value at --q, such as lah row 30 at q = 1000, may be
+    # longer.  The limit is lifted for the command and then restored.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except EvalAtZeroError:
         parser.error("--q 0 is not allowed for families with negative q-exponents")
     except ValueError as exc:
         parser.error(str(exc))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

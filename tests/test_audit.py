@@ -4,12 +4,17 @@ import gc
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import weakref
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import pytest
-from multiprocessing.pool import RemoteTraceback
 
+import qwhitney
 from qwhitney.qalg import ONE, Q, SpanTooWideError, q_power
 from qwhitney.audit import (
     DEFAULT_GRID,
@@ -385,8 +390,99 @@ class TestWorkers:
                 run_all(self.FAILING)
             assert multiprocessing.active_children() == []
             pooled = len(cpus) > 1 and "fork" in multiprocessing.get_all_start_methods()
-            assert isinstance(err.value.__cause__, RemoteTraceback) is pooled
+            # A pooled error carries the worker's traceback as its cause.
+            cause = err.value.__cause__
+            assert (cause is not None and "_run_point" in str(cause)) is pooled
         assert reports[0] == reports[1]
+
+    # A grid long enough that its points are still running when a signal comes.
+    LONG = ["audit", "--grid", "nmax=14", "--quiet"]
+
+    def test_killed_worker_exits_two(self):
+        with _session(CLI, *self.LONG) as proc:
+            os.kill(_workers(proc.pid)[0], signal.SIGKILL)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 2
+            assert err.startswith("qwhitney: error: an audit worker process died: ")
+            assert err.count("\n") == 1
+            assert _pgrep("-g", proc.pid) == []
+
+    def test_unreadable_worker_error_raises(self):
+        # The parent cannot rebuild this error from its pickle, which holds one argument.
+        code = """
+from concurrent.futures import BrokenExecutor
+from qwhitney import audit
+
+class TwoArgumentError(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+def fail(*args):
+    raise TwoArgumentError(1, 2)
+
+audit.whitney2_vertical = fail
+try:
+    audit.run_all(audit.ParamGrid((1,), (0, 1), 3), ["C04_W_VERTICAL"])
+except BrokenExecutor as exc:
+    print(type(exc).__name__)
+"""
+        with _session(code) as proc:
+            out, _ = proc.communicate(timeout=30)
+            assert (proc.returncode, out) == (0, "BrokenProcessPool\n")
+
+    def test_interrupt_stops_every_process(self):
+        with _session(CLI, *self.LONG) as proc:
+            _workers(proc.pid)
+            start = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.communicate(timeout=30)
+            assert proc.returncode != 0
+            assert time.monotonic() - start < 5
+            assert _pgrep("-g", proc.pid) == []
+
+
+# Run in a new interpreter as if two CPUs were usable, so the grid points run
+# in forked workers.
+TWO_CPUS = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+CLI = "import sys\nfrom qwhitney.cli import main\nsys.exit(main())\n"
+
+
+@contextmanager
+def _session(code, *argv):
+    """A new interpreter in a session of its own running CODE with ARGV;
+    whatever of the session is left at the end is killed, so a test that
+    fails on a hang or a timeout leaves no process behind."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", TWO_CPUS + code, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        yield proc
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def _pgrep(flag, pid):
+    """The processes `pgrep FLAG PID` lists: -P for children, -g for a group."""
+    out = subprocess.run(["pgrep", flag, str(pid)], capture_output=True, text=True, timeout=10).stdout
+    return [int(line) for line in out.split()]
+
+
+def _workers(pid):
+    """The two worker processes of PID, once both have started."""
+    for _ in range(600):
+        children = _pgrep("-P", pid)
+        if len(children) == 2:
+            return children
+        time.sleep(0.05)
+    pytest.fail("the two worker processes did not start")
 
 
 class TestClassicalLimits:

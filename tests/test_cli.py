@@ -147,6 +147,43 @@ class TestTable:
         code = run_cli(["table", "--family", "w2", "--m", "1", "--r", "1", "--nmax", "2", "--q", "0"])
         assert code == 0
 
+    def test_values_longer_than_the_int_str_limit(self, tmp_path):
+        # lah row 30 at q = 1000 has values of more than 4,300 digits, the
+        # default limit on an int -> str conversion, which is lifted for the
+        # command and restored after it.
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit, target = get_limit(), tmp_path / "t.txt"
+        args = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "30", "--q", "1000"]
+        assert run_cli(args + ["-o", str(target)]) == 0
+        assert get_limit() == limit
+        cells = target.read_text().splitlines()[30].split(", ")
+        assert max(map(len, cells)) > 4300
+        expected = get_triangle(FamilyId.LAH, Params(3, 3)).value(30, 10).eval_at(1000)
+        assert int(cells[10][-18:]) == expected.numerator % 10**18
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            "1.5",
+            "1e5000000",
+            " 3",
+            "1/-3",
+            "1_000",
+            "1/2/3",
+            "3/0",
+            "",
+            pytest.param(
+                "7" * 5000,
+                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
+                id="5000-digits",
+            ),
+        ],
+    )
+    def test_q_forms_refused(self, q, capsys):
+        # Only an integer or p/d; parsing keeps the limit on digits.
+        assert run_cli(["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "2", f"--q={q}"]) == 2
+        assert "q must be an integer or p/d fraction" in capsys.readouterr().err
+
     def test_bad_family(self):
         assert run_cli(["table", "--family", "nope", "--m", "1", "--r", "0", "--nmax", "1"]) == 2
 
@@ -442,10 +479,10 @@ class TestAudit:
         assert outcomes[0][0] == 2 and "exponent span 17000000 " in outcomes[0][1]
 
     def test_import_leaves_multiprocessing_out(self):
-        # The audit imports it only when it starts workers; at import it
-        # would add about 20 ms to every command's start.
+        # The audit imports them only when it starts workers; at import they
+        # would add about 30 ms to every command's start.
         env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
-        code = "import sys, qwhitney.cli; sys.exit('multiprocessing' in sys.modules)"
+        code = "import sys, qwhitney.cli; sys.exit(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))"
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_unwritable_json_exits_two(self, tmp_path, capsys):
