@@ -27,6 +27,7 @@ def _family(name: str) -> FamilyId:
 
 
 _Q_FORM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_Q_SHOWN = 40  # characters of a refused --q value echoed in its error line
 
 
 def _q_spec(text: str) -> Fraction:
@@ -35,17 +36,33 @@ def _q_spec(text: str) -> Fraction:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
-    raise argparse.ArgumentTypeError(f"q must be an integer or p/d fraction, got {text!r}")
+    # A long value is echoed cut short: the line names it, it need not repeat it.
+    shown = repr(text) if len(text) <= _Q_SHOWN else f"{text[:_Q_SHOWN]!r}..."
+    raise argparse.ArgumentTypeError(f"q must be an integer or p/d fraction, got {shown}")
 
 
-def _cell(value: LaurentPoly, args: argparse.Namespace):
+def _cell(value: LaurentPoly, args: argparse.Namespace) -> str:
     """One value as `args.format` writes it: the exact number at `--q` when
-    given, else the polynomial (a JSON term list, LaTeX, or plain text)."""
+    given, else the polynomial as LaTeX or plain text."""
     if args.q is not None:
         return str(value.eval_at(args.q))
-    if args.format == "json":
-        return value.to_json_dict()
     return value.latex() if args.format == "latex" else str(value)
+
+
+def _json_cell(value: LaurentPoly, args: argparse.Namespace, pad: str) -> str:
+    """One value as JSON: the exact number at `--q` as a string, else the
+    term list of `LaurentPoly.to_json_dict`.  The text is that of
+    `json.dumps(..., indent=1)` for a value whose first line is placed
+    already and whose other lines start with `pad`, written directly: with
+    an indent, `json.dumps` takes its pure-Python encoder."""
+    if args.q is not None:
+        return json.dumps(_cell(value, args))
+    if not value:
+        return f'{{\n{pad} "terms": []\n{pad}}}'
+    inner = pad + "  "
+    term = f'{{\n{inner} "e": %d,\n{inner} "c": "%d"\n{inner}}}'
+    terms = f",\n{inner}".join([term % t for t in value.sorted_terms()])
+    return f'{{\n{pad} "terms": [\n{inner}{terms}\n{pad} ]\n{pad}}}'
 
 
 def _check_cells(args: argparse.Namespace, values: Iterable[LaurentPoly]) -> None:
@@ -86,9 +103,11 @@ def _error(message: str) -> NoReturn:
     raise SystemExit(2) from None
 
 
-def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable) -> Iterator[str]:
+def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable[str]) -> Iterator[str]:
     """The bytes of `json.dumps(doc + {key: [*items]}, indent=1)` and a newline,
-    with `"q"` added last when given, yielded one item at a time."""
+    with `"q"` added last when given, yielded one item at a time.  Each item
+    is the text of `json.dumps(item, indent=1)` with two spaces after each
+    newline, as it sits two levels deep."""
     doc = dict(doc, **{key: []})
     if args.q is not None:
         doc["q"] = str(args.q)
@@ -96,8 +115,7 @@ def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable) -> Ite
     yield f'{head}"{key}": '
     sep = "["
     for item in items:
-        # An item sits two levels deep; strings escape their own newlines.
-        yield sep + "\n  " + json.dumps(item, indent=1).replace("\n", "\n  ")
+        yield sep + "\n  " + item
         sep = ","
     yield ("[]" if sep == "[" else "\n ]") + tail + "\n"
 
@@ -158,7 +176,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         chunks = _csv(args, ["n", "k", "value"], records)
     elif args.format == "json":
         doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
-        chunks = _json(args, doc, "rows", ([_cell(v, args) for v in row] for row in rows))
+        items = ("[" + ",".join(["\n   " + _json_cell(v, args, "   ") for v in row]) + "\n  ]" for row in rows)
+        chunks = _json(args, doc, "rows", items)
     else:
         chunks = _grid(args, rows)
     _write(chunks, args.output)
@@ -173,7 +192,7 @@ def cmd_dowling(args: argparse.Namespace) -> int:
         chunks = _csv(args, ["n", "value"], enumerate(values))
     elif args.format == "json":
         doc = {"form": args.form, "m": args.m, "r": args.r, "nmax": args.nmax}
-        chunks = _json(args, doc, "values", (_cell(v, args) for v in values))
+        chunks = _json(args, doc, "values", (_json_cell(v, args, "  ") for v in values))
     else:
         chunks = _grid(args, [values])
     _write(chunks, args.output)
@@ -188,7 +207,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         chunks = _csv(args, ["n", "value"], pairs)
     elif args.format == "json":
         doc = {"family": "w2", "k": args.k, "m": args.m, "r": args.r, "order": args.order}
-        chunks = _json(args, doc, "coefficients", ({"n": n, "value": _cell(v, args)} for n, v in pairs))
+        items = (f'{{\n   "n": {n},\n   "value": {_json_cell(v, args, "   ")}\n  }}' for n, v in pairs)
+        chunks = _json(args, doc, "coefficients", items)
     elif args.format == "text":
         chunks = (f"({n}, {_cell(v, args)})\n" for n, v in pairs)
     else:

@@ -69,6 +69,26 @@ def _trim(v: int, coeffs: list[int] | tuple[int, ...]) -> tuple[int, tuple[int, 
     return v + lo, tuple(coeffs[lo:hi])
 
 
+def _sum(va: int, a: tuple[int, ...], vb: int, b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The canonical (valuation, coefficients) of the sum of the nonzero
+    values with coefficients a from exponent va and b from vb."""
+    if va > vb:
+        va, a, vb, b = vb, b, va, a
+    off = vb - va
+    la, lb = len(a), len(b)
+    _check_span(max(la, off + lb))
+    if off >= la:
+        return va, a + (0,) * (off - la) + b
+    end = off + lb
+    if end <= la:
+        coeffs = a[:off] + tuple(map(add, a[off:end], b)) + a[end:]
+    else:
+        coeffs = a[:off] + tuple(map(add, a[off:], b)) + b[la - off :]
+    if coeffs[0] and coeffs[-1]:
+        return va, coeffs
+    return _trim(va, coeffs)
+
+
 @cache
 def _slot(width: int) -> tuple[str, int, bytes]:
     """The codec of a slot of at least `width` bytes: the typecode of the
@@ -254,22 +274,7 @@ class LaurentPoly:
             return self
         if not self._c:
             return o
-        va, a, vb, b = self._v, self._c, o._v, o._c
-        if va > vb:
-            va, a, vb, b = vb, b, va, a
-        off = vb - va
-        la, lb = len(a), len(b)
-        _check_span(max(la, off + lb))
-        if off >= la:
-            return LaurentPoly._raw(va, a + (0,) * (off - la) + b)
-        end = off + lb
-        if end <= la:
-            coeffs = a[:off] + tuple(map(add, a[off:end], b)) + a[end:]
-        else:
-            coeffs = a[:off] + tuple(map(add, a[off:], b)) + b[la - off :]
-        if coeffs[0] and coeffs[-1]:
-            return LaurentPoly._raw(va, coeffs)
-        return LaurentPoly._raw(*_trim(va, coeffs))
+        return LaurentPoly._raw(*_sum(self._v, self._c, o._v, o._c))
 
     __radd__ = __add__
 
@@ -308,24 +313,9 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def mul_bracket(self, b: int) -> "LaurentPoly":
-        """The product [b] * self, as a running window sum in O(span + |b|).
-
-        For b > 0 the coefficient at e is the sum of the b coefficients of
-        self at e-b+1..e; a negative b uses [-c] = -q^-c [c].
-        """
-        a = self._c
-        if not a or not b:
-            return ZERO
-        width = abs(b)
-        _check_span(len(a) + width - 1)
-        # out[i] = S[min(i+1, n)] - S[max(i+1-width, 0)], with S the prefix
-        # sums of a, S[0] = 0 and n = len(a).
-        prefix = list(accumulate(a, initial=0))
-        upper = prefix[1:] + [prefix[-1]] * (width - 1)
-        lower = [0] * (width - 1) + prefix[:-1]
-        if b > 0:
-            return LaurentPoly._raw(self._v, tuple(map(sub, upper, lower)))
-        return LaurentPoly._raw(self._v + b, tuple(map(sub, lower, upper)))
+        """The product [b] * self, as a running window sum in O(span + |b|);
+        the case p = 0 of `lp_add_bracket`."""
+        return lp_add_bracket(ZERO, self, b)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -422,14 +412,17 @@ class LaurentPoly:
         The suffixes are one slice of the blocks of _suffix_block, a memo of
         at most 64 blocks of 1,024 exponents (about 4.7 MB), so each exponent
         is formatted once per process; then only the zero and unit terms are
-        fixed up."""
+        fixed up.  A palindrome's coefficients are formatted for its first
+        half alone, and the second half is those strings reversed."""
         c = self._c
         if not c:
             return "0"
         v, n = self._v, len(c)
         parts = [" + "] * (3 * n)
         parts[0] = ""
-        parts[1::3] = map(repr, c)
+        half = (n + 1) // 2 if n > 1 and c == c[::-1] else n
+        digits = list(map(repr, islice(c, half)))
+        parts[1::3] = digits + digits[n - half - 1 :: -1] if half < n else digits
         first, lo = divmod(v, _SUFFIX_BLOCK)
         blocks = range(first, (v + n - 1) // _SUFFIX_BLOCK + 1)
         # Exponents too long to keep are formatted for this call alone.
@@ -449,7 +442,8 @@ class LaurentPoly:
                 if i != -v:
                     parts[3 * i + 1 : 3 * i + 3] = sign, parts[3 * i + 2][cut:]
         # A negative coefficient follows " + "; an exponent's sign follows "^".
-        return "".join(parts).replace(" + -", " - ")
+        text = "".join(parts)
+        return text.replace(" + -", " - ") if min(islice(c, half)) < 0 else text
 
     def __str__(self) -> str:
         return self._render("*", "", "")
@@ -519,6 +513,53 @@ def lp_dot(
         raise ValueError("each sign must be +1 or -1")
     terms = [(s, a._v + b._v, a, b) for (a, b), s in signed if a._c and b._c]
     return LaurentPoly._raw(*_kronecker(terms)) if terms else ZERO
+
+
+def lp_add_bracket(p: LaurentPoly, q: LaurentPoly, b: int) -> LaurentPoly:
+    """The sum p + [b] * q in one pass, in O(span + |b|).
+
+    [b] * q is a running window sum: for b > 0 its coefficient at e is the
+    sum of the b coefficients of q at e-b+1..e, and a negative b uses
+    [-c] = -q^-c [c].  Every [b] is a palindrome, so when q is one, so is
+    [b] * q, with its centre at (2 v + len + b - 2) / 2 for q's valuation v
+    and length len, for b of either sign.  When p is a palindrome with the
+    same centre (or zero), the sum is a palindrome about that centre too,
+    and trimming takes as many zeros from each end: only its first half is
+    summed, and the second half is the first reversed.  The centre is
+    compared before either tuple, and both tests run on every call.
+    """
+    c = q._c
+    if not c or not b:
+        return p
+    width = abs(b)
+    vw, nw = q._v + min(b, 0), len(c) + width - 1  # the window sum's valuation and length
+    a, va = p._c, p._v
+    lo = min(va, vw) if a else vw
+    span = max(va + len(a), vw + nw) - lo if a else nw
+    _check_span(span)
+    symmetric = (not a or 2 * va + len(a) == 2 * q._v + len(c) + b - 1) and c == c[::-1] and a == a[::-1]
+    # The first `count` window sums: out[i] = S[min(i+1, n)] - S[max(i+1-width, 0)],
+    # with S the prefix sums of c, S[0] = 0 and n = len(c).
+    count = (nw + 1) // 2 if symmetric else nw
+    prefix = list(accumulate(islice(c, count), initial=0))
+    upper = chain(islice(prefix, 1, None), repeat(prefix[-1], count + 1 - len(prefix)))
+    lower = chain(repeat(0, width - 1), prefix)  # map stops at the end of upper
+    if b < 0:
+        upper, lower = lower, upper
+    window = list(map(sub, upper, lower))
+    if not symmetric:
+        # The window sum's ends are +-c[0] and +-c[-1], so it needs no trim.
+        return LaurentPoly._raw(*_sum(va, a, vw, tuple(window))) if a else LaurentPoly._raw(vw, tuple(window))
+    half = window
+    if a:
+        # Both first halves end at the middle of the sum.
+        first = a[: (len(a) + 1) // 2]
+        long, short = (first, window) if len(first) > len(window) else (window, first)
+        d = len(long) - len(short)
+        half = [*long[:d], *map(add, long[d:], short)]
+    # An odd span has a middle coefficient, which is not repeated.
+    coeffs = tuple(half + half[-1 - (span & 1) :: -1])
+    return LaurentPoly._raw(lo, coeffs) if coeffs[0] else LaurentPoly._raw(*_trim(lo, coeffs))
 
 
 def lp_div_bracket(p: LaurentPoly, b: int) -> LaurentPoly:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_dot, q_power
+from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_add_bracket, lp_dot, q_power
 
 
 class NonUnitDiagonalError(ArithmeticError):
@@ -95,9 +95,7 @@ class Triangle:
         for k in range(n + 1):
             a, b = weights(m, r, n, k)
             entry = q_power(a) * prev[k - 1] if k else ZERO
-            if k < n:
-                entry = entry + prev[k].mul_bracket(b)
-            row.append(entry)
+            row.append(lp_add_bracket(entry, prev[k], b) if k < n else entry)
         return row
 
 

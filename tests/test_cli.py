@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -12,8 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import qwhitney
+from qwhitney import cli
 from qwhitney.cli import main, parse_grid
 from qwhitney.qalg import LaurentPoly
 from qwhitney.triangles import FamilyId, Params, get_triangle
@@ -182,7 +185,10 @@ class TestTable:
     def test_q_forms_refused(self, q, capsys):
         # Only an integer or p/d; parsing keeps the limit on digits.
         assert run_cli(["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "2", f"--q={q}"]) == 2
-        assert "q must be an integer or p/d fraction" in capsys.readouterr().err
+        (line,) = [x for x in capsys.readouterr().err.splitlines() if "q must be an integer or p/d fraction" in x]
+        # A long value is echoed cut to 40 characters and an ellipsis.
+        assert len(line) < 150
+        assert line.endswith(repr(q) if len(q) <= 40 else f"{q[:40]!r}...")
 
     def test_bad_family(self):
         assert run_cli(["table", "--family", "nope", "--m", "1", "--r", "0", "--nmax", "1"]) == 2
@@ -270,6 +276,22 @@ class TestTable:
         args = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "24", "--format", fmt]
         assert run_cli(args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.LARGE_DIGESTS[fmt]
+
+    # sha256 of tables that take both paths of the fill step: lah (2, -3) has
+    # negative brackets, zero entries and negative coefficients; w1 is not
+    # palindromic; lah (1, -1) as LaTeX.  As CI pins them.
+    STEP_DIGESTS = {
+        ("lah", "2", "-3", "24", "text"): "d9920d8260e6c684e77e3f3fed53fe1967ecd7772d82c5b25f042c232781363a",
+        ("w1", "2", "3", "24", "text"): "1345dd8f08c26f75f9ad531a8b533133d571c3061ec3a5736d0ab211b0e7c9bf",
+        ("lah", "1", "-1", "30", "latex"): "9cbcb12093e9a08827c6ffc05b8297745c890b9a505e91656978a862f12b6fbe",
+    }
+
+    @pytest.mark.parametrize("family, m, r, nmax, fmt", list(STEP_DIGESTS))
+    def test_step_tables_unchanged(self, family, m, r, nmax, fmt, capsys):
+        args = ["table", "--family", family, "--m", m, "--r", r, "--nmax", nmax, "--format", fmt]
+        assert run_cli(args) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.STEP_DIGESTS[family, m, r, nmax, fmt]
 
     def test_cache_option_removed(self, tmp_path):
         args = ["table", "--family", "lah", "--m", "1", "--r", "1", "--nmax", "3", "--cache", str(tmp_path)]
@@ -520,6 +542,39 @@ class TestGridParsing:
     def test_repeated_key_exits_two(self, capsys):
         assert run_cli(["audit", "--grid", "m=1 m=2 nmax=3", "--quiet"]) == 2
         assert "bad --grid" in capsys.readouterr().err
+
+
+@given(
+    st.dictionaries(st.integers(min_value=-40, max_value=40), st.integers(min_value=-(10**30), max_value=10**30), max_size=12),
+    st.sampled_from(["", " ", "   "]),
+)
+def test_json_cell_matches_the_term_list(terms, pad):
+    # The cell writer against json.dumps of LaurentPoly.to_json_dict, the
+    # wire form it writes, re-indented as the cell sits.
+    value = LaurentPoly(terms)
+    expected = json.dumps(value.to_json_dict(), indent=1).replace("\n", "\n" + pad)
+    assert cli._json_cell(value, argparse.Namespace(q=None, format="json"), pad) == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--family", "lah", "--m", "2", "--r", "-3", "--nmax", "6"],
+        ["table", "--family", "w1", "--m", "2", "--r", "3", "--nmax", "5", "--q=-1/3"],
+        ["table", "--family", "w2", "--m", "1", "--r", "0", "--nmax", "0"],
+        ["dowling", "--form", "3", "--m", "2", "--r", "-1", "--nmax", "4"],
+        ["dowling", "--form", "1", "--m", "1", "--r", "0", "--nmax", "3", "--q", "2"],
+        ["expand", "--k", "2", "--m", "1", "--r", "-2", "--order", "6"],
+        ["expand", "--k", "1", "--m", "2", "--r", "1", "--order", "4", "--q", "3/2"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_json_is_what_the_stdlib_encoder_writes(args, capsys):
+    # The direct JSON writer gives the bytes of json.dumps(doc, indent=1), for
+    # term lists, zero cells, values at --q and every command's item shape.
+    assert run_cli([*args, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
 
 
 class TestReadme:

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qwhitney import qalg
 from qwhitney.qalg import (
@@ -15,6 +15,7 @@ from qwhitney.qalg import (
     Q,
     SpanTooWideError,
     ZERO,
+    lp_add_bracket,
     lp_div_bracket,
     lp_dot,
     q_binomial_base,
@@ -186,7 +187,15 @@ class TestMulBracket:
     def test_wide_span_is_rejected(self):
         # Dense storage would need 10^9 and 2^40 slots; the span check must
         # raise before anything of that size is allocated.
-        for build in (lambda: q_power(10**9) + ONE, lambda: ONE.mul_bracket(2**40)):
+        builds = (
+            lambda: q_power(10**9) + ONE,
+            lambda: ONE.mul_bracket(2**40),
+            lambda: lp_add_bracket(q_power(10**9), ONE, 3),
+            lambda: lp_add_bracket(ONE, q_power(-(10**9)), -3),
+            lambda: lp_add_bracket(q_bracket(5), ONE, -(2**40)),
+            lambda: lp_add_bracket(q_power(-(2**39)), q_power(2**39), 1),
+        )
+        for build in builds:
             tracemalloc.start()
             try:
                 with pytest.raises(SpanTooWideError):
@@ -195,6 +204,115 @@ class TestMulBracket:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+
+def palindrome(v: int, half: list[int], odd: bool) -> LaurentPoly:
+    """Coefficients `half` then `half` reversed, sharing its last entry when
+    `odd`, from exponent v; zero ends trim evenly, keeping the centre."""
+    cs = half + half[-2::-1] if odd else half + half[::-1]
+    return LaurentPoly({v + i: c for i, c in enumerate(cs)})
+
+
+def doubled_centre(p: LaurentPoly) -> int:
+    return p.valuation() + p.degree()
+
+
+def shares_mirrored_coefficients(p: LaurentPoly) -> bool:
+    # The palindromic step builds its second half from the first half's
+    # objects; a value summed term by term has its own objects above 256.
+    return all(x is y for x, y in zip(p._c, reversed(p._c)))
+
+
+# First halves of palindromes: interior zeros, +-1, negative and wide
+# coefficients, whose sums are distinct int objects.
+half_coeffs = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1, -2]), st.integers(min_value=-(10**30), max_value=10**30)),
+    min_size=1,
+    max_size=40,
+)
+palindromes = st.builds(palindrome, st.integers(min_value=-60, max_value=60), half_coeffs, st.booleans())
+step_brackets = st.integers(min_value=-40, max_value=40)
+
+
+class TestAddBracket:
+    """lp_add_bracket(p, q, b) is p + [b] q, checked against the product
+    with q_bracket(b) through the packed multiply and the sum."""
+
+    @given(st.one_of(dense_polys, wide_polys, polys), st.one_of(dense_polys, wide_polys, polys), brackets)
+    @example(ZERO, ZERO, 3)
+    @example(ONE, ZERO, 3)
+    @example(ZERO, ONE, 0)
+    @example(q_power(7), q_bracket(2), -3)
+    def test_matches_sum_of_products(self, p, q, b):
+        assert lp_add_bracket(p, q, b) == p + q_bracket(b) * q
+
+    @given(palindromes, step_brackets, half_coeffs, st.integers(min_value=-(10**30), max_value=10**30))
+    @example(q_bracket(3), -5, [1], 1)
+    @example(ONE, 1, [2**40], 1)
+    def test_palindromes_with_one_centre(self, q, b, p_half, scale):
+        assume(q)
+        # [b] q has its doubled centre at 2v + len + b - 2, for b of either sign.
+        target = 2 * q.valuation() + len(q._c) + b - 2
+        odd = target % 2 == 0
+        width = 2 * len(p_half) - odd
+        p = scale * palindrome((target - width + 1) // 2, p_half, odd)
+        expected = p + q_bracket(b) * q
+        got = lp_add_bracket(p, q, b)
+        assert got == expected
+        if b and got:
+            assert got._c == got._c[::-1] and shares_mirrored_coefficients(got)
+            assert not p or doubled_centre(p) == target
+
+    @given(palindromes, step_brackets, palindromes, st.integers(min_value=1, max_value=5), st.sampled_from([1, -1]))
+    def test_palindromes_with_different_centres(self, q, b, p, shift, sign):
+        assume(q and p)
+        # Shifted off [b] q's centre by a whole or half step: not one palindrome.
+        target = 2 * q.valuation() + len(q._c) + b - 2
+        p = p * q_power((target - doubled_centre(p)) // 2 + sign * shift)
+        assert doubled_centre(p) != target
+        assert lp_add_bracket(p, q, b) == p + q_bracket(b) * q
+
+    @given(st.one_of(dense_polys, palindromes), st.one_of(dense_polys, palindromes), step_brackets)
+    @example(LaurentPoly({0: 1, 1: 2}), q_bracket(2), 1)
+    @example(q_bracket(2), LaurentPoly({0: 1, 1: 2}), 1)
+    def test_one_centre_without_palindromes(self, p, q, b):
+        # p moved onto [b] q's centre, where a centre of the wrong parity
+        # cannot be reached; either operand may fail to be a palindrome.
+        assume(p and q)
+        target = 2 * q.valuation() + len(q._c) + b - 2
+        assume((target - doubled_centre(p)) % 2 == 0)
+        p = p * q_power((target - doubled_centre(p)) // 2)
+        assert lp_add_bracket(p, q, b) == p + q_bracket(b) * q
+
+    @given(palindromes, step_brackets.filter(bool), st.integers(min_value=0, max_value=45))
+    @example(q_bracket(2), -3, 0)
+    @example(q_bracket(2), -3, 1)
+    @example(q_bracket(2), -3, 2)
+    def test_cancelled_ends_are_trimmed(self, q, b, ends):
+        # p cancels the `ends` outer terms at each end of [b] q; past its
+        # middle, all of it, to ZERO.
+        assume(q)
+        full = q_bracket(b) * q
+        lo, hi = full.valuation(), full.degree()
+        p = -LaurentPoly({e: c for e, c in full.terms().items() if e < lo + ends or e > hi - ends})
+        got = lp_add_bracket(p, q, b)
+        assert got == full + p
+        if 2 * ends >= hi - lo + 1:
+            assert got is ZERO or not got
+        else:
+            assert got.valuation() >= lo + ends and got.degree() <= hi - ends
+            assert got._c == got._c[::-1]
+
+    def test_examples(self):
+        # [2] q^-1 + [3] (1 + q): centres -1/2 + 1/2 and 3/2 differ.
+        assert lp_add_bracket(Q.unit_inverse(), q_bracket(2), 3) == LaurentPoly({-1: 1, 0: 1, 1: 2, 2: 2, 3: 1})
+        # q + [2] (1 + q) = 1 + 3q + q^2, centred at 1 both.
+        assert lp_add_bracket(Q, q_bracket(2), 2) == LaurentPoly({0: 1, 1: 3, 2: 1})
+        # -q^-2 - 2q^-1 - 1 + [-2] (1 + q) = -2q^-2 - 4q^-1 - 2.
+        step = lp_add_bracket(LaurentPoly({-2: -1, -1: -2, 0: -1}), q_bracket(2), -2)
+        assert step == LaurentPoly({-2: -2, -1: -4, 0: -2})
+        assert lp_add_bracket(-q_bracket(3), ONE, 3) == ZERO
+        assert lp_add_bracket(Q, ZERO, 5) is Q and lp_add_bracket(Q, ONE, 0) is Q
 
 
 class TestExactDiv:
@@ -456,8 +574,19 @@ block_polys = st.builds(
 )
 
 
+# Palindromes, which are rendered from their first half: interior zeros,
+# +-1 and negative coefficients, about exponents below, at and above 0.
+render_palindromes = st.builds(
+    palindrome, st.integers(min_value=-12, max_value=3), st.lists(render_coeffs, min_size=1, max_size=8), st.booleans()
+)
+
+
 class TestRendering:
-    @given(st.one_of(render_polys, block_polys))
+    @given(st.one_of(render_polys, block_polys, render_palindromes))
+    @example(LaurentPoly({-1: -1, 0: 5, 1: -1}))
+    @example(LaurentPoly({0: 1, 1: 0, 2: 1}))
+    @example(LaurentPoly({-2: 3, 2: 3}))
+    @example(q_bracket(-4))
     @example(ZERO)
     @example(ONE)
     @example(-ONE)

@@ -232,6 +232,38 @@ class TestLah:
                     assert got == want
 
 
+class TestFillStep:
+    """Each entry is one fused step, lp_add_bracket(q^a T[n-1,k-1], T[n-1,k], b);
+    here it is recomputed from the previous row with q_bracket(b) through the
+    packed multiply."""
+
+    @pytest.mark.parametrize("family", list(_WEIGHTS))
+    def test_matches_products_of_the_previous_row(self, family):
+        weights = _WEIGHTS[family]
+        for m in (1, 2, 3):
+            for r in range(-5, 6):
+                tri = Triangle(family, Params(m, r))
+                for n in range(1, 15):
+                    prev, row = tri.row(n - 1), tri.row(n)
+                    for k in range(n + 1):
+                        a, b = weights(m, r, n, k)
+                        left = q_power(a) * prev[k - 1] if k else ZERO
+                        right = q_bracket(b) * prev[k] if k < n else ZERO
+                        assert row[k] == left + right, (family, m, r, n, k)
+
+    @pytest.mark.parametrize("params", SMALL_GRID)
+    def test_lah_entries_are_palindromes(self, params):
+        # The shortcut's premise, and its effect: each nonzero entry reads the
+        # same backwards, its second half built from its first half's objects
+        # (distinct objects past 256 otherwise; (3, 3) reaches 2^37 by row 12).
+        tri = Triangle(FamilyId.LAH, params)
+        for n in range(13):
+            for value in tri.row(n):
+                c = value._c
+                assert c == c[::-1]
+                assert all(x is y for x, y in zip(c, reversed(c)))
+
+
 class TestRowSums:
     def test_dowling_examples(self):
         assert dowling(P10, 1, 3) == LaurentPoly({0: 1, 1: 2, 2: 1, 3: 1})
