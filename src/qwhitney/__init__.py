@@ -38,7 +38,6 @@ from .triangles import (
     Triangle,
     dowling,
     get_triangle,
-    invert_unit_triangular,
     lah_row_sum,
 )
 from .formulas import (
@@ -96,7 +95,6 @@ __all__ = [
     "dowling_qi",
     "falling_factorial_u",
     "get_triangle",
-    "invert_unit_triangular",
     "lah_explicit",
     "lah_horizontal",
     "lah_row_sum",

@@ -29,7 +29,6 @@ from .triangles import (
     Triangle,
     dowling,
     get_triangle,
-    invert_unit_triangular,
 )
 from .upoly import falling_factorial_u, rising_factorial_u
 from .formulas import (
@@ -310,13 +309,13 @@ def _check_orthogonality(variant: Variant, p: Params, nmax: int) -> Counterexamp
 
 
 def _check_inverse_relations(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    # Each inverse is filled to row 0 here and then as its rows are read, so
-    # a non-unit diagonal entry surfaces in _first_mismatch at its own row.
-    w1, w2 = FamilyId.W1_FALLING, FamilyId.W2
+    # Each inverse is filled as its rows are read, so a non-unit diagonal
+    # entry surfaces in _first_mismatch at its own row.
+    w1, w2 = get_triangle(FamilyId.W1_FALLING, p), get_triangle(FamilyId.W2, p)
     return _first_mismatch(
         _triangle(range(nmax + 1)),
-        (invert_unit_triangular(w1, p, 0).value, get_triangle(w2, p).value),
-        (invert_unit_triangular(w2, p, 0).value, get_triangle(w1, p).value),
+        (w1.inverse.value, w2.value),
+        (w2.inverse.value, w1.value),
     )
 
 

@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NoReturn
 
 from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
-from .qalg import EvalAtZeroError, LaurentPoly
+from .qalg import _MAX_SPAN, EvalAtZeroError, LaurentPoly
 from .triangles import FamilyId, Params, dowling, get_triangle
 from .formulas import whitney2_rational_gf
 
@@ -243,7 +243,13 @@ def parse_grid(spec: str | None) -> ParamGrid:
             for part in raw.split(","):
                 if ".." in part:
                     lo, _, hi = part.partition("..")
-                    values.extend(range(int(lo), int(hi) + 1))
+                    lo, hi = int(lo), int(hi)
+                    # A longer range holds an |r| > 2^24 or an m > 2^25 + 1,
+                    # where every check meets a bracket too wide to store;
+                    # it is refused before it is expanded.
+                    if hi - lo > 2 * _MAX_SPAN:
+                        raise ValueError(f"range {part!r} has more than {2 * _MAX_SPAN + 1} values")
+                    values.extend(range(lo, hi + 1))
                 else:
                     values.append(int(part))
             if key == "m":

@@ -25,7 +25,7 @@ from .qalg import (
     q_bracket,
     q_power,
 )
-from .triangles import FamilyId, Params, get_triangle, invert_unit_triangular, lah_row_sum
+from .triangles import FamilyId, Params, get_triangle, lah_row_sum
 from .upoly import TruncSeries, useries_inverse
 
 GridFunction = Callable[[int], LaurentPoly]
@@ -66,10 +66,11 @@ def q_difference(f: GridFunction, k: int, h: int) -> LaurentPoly:
         raise ValueError("order must be >= 0")
     if h < 1:
         raise ValueError("step must be >= 1")
-    return lp_dot(
-        ((q_power(h * comb(k - j, 2)) * q_binomial_base(k, j, h), f(j * h)) for j in range(k + 1)),
-        (-1 if (k - j) % 2 else 1 for j in range(k + 1)),
-    )
+    terms = []
+    for j in range(k + 1):
+        weight = q_power(h * comb(k - j, 2)) * q_binomial_base(k, j, h)
+        terms.append((-weight if (k - j) % 2 else weight, f(j * h)))
+    return lp_dot(terms)
 
 
 def whitney2_explicit(params: Params, n: int, k: int) -> LaurentPoly:
@@ -119,9 +120,9 @@ def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
     ratio = ONE
     for j in range(n - k + 1):
         weight = q_power(-c - m * (k + j)) * ratio
-        terms.append((weight, entry(n + 1, k + j + 1)))
+        terms.append((-weight if j % 2 else weight, entry(n + 1, k + j + 1)))
         ratio = weight.mul_bracket(m * (k + j + 1) + c)
-    return lp_dot(terms, (-1 if j % 2 else 1 for j in range(n - k + 1)))
+    return lp_dot(terms)
 
 
 def whitney2_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
@@ -202,24 +203,24 @@ def lah_via_composition(variant: Variant, params: Params, n: int, j: int) -> Lau
     return triangular_sum(first.value, get_triangle(FamilyId.W2, params).value, n, j)
 
 
-def _lah_outer(variant: Variant, params: Params, n: int) -> Entry:
-    """The outer matrix of the Lah-to-second-kind routes, for rows up to n:
-    the second-kind triangle at -r (verbatim) or the inverse of the rising
-    first-kind triangle (corrected)."""
+def _lah_outer(variant: Variant, params: Params) -> Entry:
+    """The outer matrix of the Lah-to-second-kind routes: the second-kind
+    triangle at -r (verbatim) or the inverse of the rising first-kind
+    triangle (corrected)."""
     if variant is Variant.VERBATIM:
         return get_triangle(FamilyId.W2_VERBATIM, params).value
-    return invert_unit_triangular(FamilyId.W1_RISING, params, n).value
+    return get_triangle(FamilyId.W1_RISING, params).inverse.value
 
 
 def whitney_from_lah(variant: Variant, params: Params, n: int, j: int) -> LaurentPoly:
     """Second-kind entry recovered from the Lah triangle: the product of the
     variant's outer matrix (`_lah_outer`) with the Lah triangle."""
-    outer = _lah_outer(variant, params, n)
+    outer = _lah_outer(variant, params)
     return triangular_sum(outer, get_triangle(FamilyId.LAH, params).value, n, j)
 
 
 def dowling_qi(variant: Variant, params: Params, n: int) -> LaurentPoly:
     """Row-sum sequence value assembled from Lah row sums, weighted by row n
     of the variant's outer matrix (`_lah_outer`)."""
-    outer = _lah_outer(variant, params, n)
+    outer = _lah_outer(variant, params)
     return triangular_sum(outer, lambda k, _: lah_row_sum(params, k), n, 0)

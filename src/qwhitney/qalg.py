@@ -99,35 +99,42 @@ def _slot(width: int) -> tuple[str, int, bytes]:
     return code, size, (1 << (8 * size - 1)).to_bytes(size, byteorder)
 
 
-def _kronecker(
-    terms: list[tuple[int, int, "LaurentPoly", "LaurentPoly"]],
-) -> tuple[int, tuple[int, ...]]:
-    """The sum of s * q^v * a * b over the terms (s, v, a, b), s = +-1 and a, b
-    nonzero, as a canonical (valuation, coefficients) pair, by one big-integer
-    sum of products; a product is the one-term case.
+def lp_dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of a * b over the pairs (a, b), by one big-integer sum of
+    products: each operand is packed once and the sum is unpacked once.  A
+    product is the one-pair case, and a difference negates one operand:
 
-    With h(a) the bit length of a's largest magnitude (kept on the value), a
-    product's coefficients are below 2^(h(a) + h(b) + bit_length(min(len a,
-    len b))), and a sum of N products below that times 2^bit_length(N - 1) for
-    the widest product; W-bit slots add a sign bit.  Operands are packed as
-    W-bit two's-complement slots.  XOR with the mask M, 2^(W-1) in each of the
-    sum's slots, turns a slot c into c + 2^(W-1), so (packed ^ M) - M is the
-    operand's value at q = 2^W (a monomial's is its coefficient).  Shifted by
-    their valuations' offsets, the products add up to the sum's value, which
-    plus M holds each coefficient plus 2^(W-1) in its own slot with no carry;
-    the same XOR takes it back to two's-complement slots for one unpack.
+    >>> str(lp_dot([(q_bracket(2), q_bracket(3)), (-Q, q_bracket(2))]))
+    '1 + q + q^2 + q^3'
+
+    Pairs with a zero operand are dropped first.  With h(a) the bit length
+    of a's largest magnitude (kept on the value), a product's coefficients
+    are below 2^(h(a) + h(b) + bit_length(min(len a, len b))), and a sum of
+    N products below that times 2^bit_length(N - 1) for the widest product;
+    W-bit slots add a sign bit.  Operands are packed as W-bit two's-complement
+    slots.  XOR with the mask M, 2^(W-1) in each of the sum's slots, turns a
+    slot c into c + 2^(W-1), so (packed ^ M) - M is the operand's value at
+    q = 2^W (a monomial's is its coefficient).  Shifted by their valuations'
+    offsets, the products add up to the sum's value, which plus M holds each
+    coefficient plus 2^(W-1) in its own slot with no carry; the same XOR
+    takes it back to two's-complement slots for one unpack.
 
     Only the byte codec depends on W: a slot of up to 8 bytes is a machine
     word converted by `array` in C, a wider one goes through `int.to_bytes`.
     Bytes are in native order: on a big-endian host the packed integers are
     the reversed polynomials, so each product is placed from the sum's top.
     """
-    v0, end, bits = terms[0][1], terms[0][1], 0
-    for _, v, a, b in terms:
+    terms = [(a, b) for a, b in pairs if a._c and b._c]
+    if not terms:
+        return ZERO
+    v0 = end = terms[0][0]._v + terms[0][1]._v
+    bits = 0
+    for a, b in terms:
         for p in (a, b):
             if not p._h:
                 p._h = max(max(p._c), -min(p._c)).bit_length()
         la, lb = len(a._c), len(b._c)
+        v = a._v + b._v
         v0, end = min(v0, v), max(end, v + la + lb - 1)
         bits = max(bits, a._h + b._h + min(la, lb).bit_length())
     n_out = end - v0
@@ -145,15 +152,15 @@ def _kronecker(
         return (int.from_bytes(packed, byteorder) ^ mask) - mask
 
     total = 0
-    for s, v, a, b in terms:
-        x = value(a._c) * value(b._c)
+    for a, b in terms:
+        v = a._v + b._v
         shift = v - v0 if byteorder == "little" else n_out + 1 - v + v0 - len(a._c) - len(b._c)
-        total += (x if s > 0 else -x) << (8 * size * shift)
+        total += (value(a._c) * value(b._c)) << (8 * size * shift)
     data = ((total + mask) ^ mask).to_bytes(n_out * size, byteorder)
     if code:
-        return _trim(v0, array(code, data))
+        return LaurentPoly._raw(*_trim(v0, array(code, data)))
     starts = range(0, len(data), size)
-    return _trim(v0, [int.from_bytes(data[i : i + size], byteorder, signed=True) for i in starts])
+    return LaurentPoly._raw(*_trim(v0, [int.from_bytes(data[i : i + size], byteorder, signed=True) for i in starts]))
 
 
 # The rendering suffixes of a run of _SUFFIX_BLOCK exponents are made once
@@ -181,15 +188,14 @@ class LaurentPoly:
 
     __slots__ = ("_v", "_c", "_h")  # _h: bits of the largest |coefficient|, 0 until needed
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        clean: dict[int, int] = {}
-        for e, c in items:
-            if not _is_int(e) or not _is_int(c):
-                raise TypeError("exponents and coefficients must be integers")
-            if c:
-                clean[e] = clean.get(e, 0) + c
-        clean = {e: c for e, c in clean.items() if c}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        """The polynomial with the exponent -> coefficient map `terms`, or zero."""
+        terms = {} if terms is None else terms
+        if not isinstance(terms, Mapping):
+            raise TypeError("terms must be a mapping from exponents to coefficients")
+        if not all(_is_int(e) and _is_int(c) for e, c in terms.items()):
+            raise TypeError("exponents and coefficients must be integers")
+        clean = {e: c for e, c in terms.items() if c}
         if not clean:
             self._v, self._c, self._h = 0, (), 0
         else:
@@ -300,15 +306,14 @@ class LaurentPoly:
         a, b = self._c, o._c
         if not a or not b:
             return ZERO
-        v = self._v + o._v
         if len(a) == 1 or len(b) == 1:
             if len(a) == 1:
                 a, b = b, a
-            c = b[0]
+            v, c = self._v + o._v, b[0]
             if c == 1:
                 return LaurentPoly._raw(v, a)
             return LaurentPoly._raw(v, tuple([c * x for x in a]))
-        return LaurentPoly._raw(*_kronecker([(1, v, self, o)]))
+        return lp_dot([(self, o)])
 
     __rmul__ = __mul__
 
@@ -500,19 +505,6 @@ def q_binomial_base(k: int, j: int, m: int) -> LaurentPoly:
     if j == 0 or j == k:
         return ONE
     return q_binomial_base(k - 1, j - 1, m) + q_power(m * j) * q_binomial_base(k - 1, j, m)
-
-
-def lp_dot(
-    pairs: Iterable[tuple[LaurentPoly, LaurentPoly]], signs: Iterable[int] | None = None
-) -> LaurentPoly:
-    """The sum of s_i * a_i * b_i over the pairs (a_i, b_i) and the signs s_i,
-    each +1 or -1 (all +1 when omitted), as one fused Kronecker sum: each
-    operand is packed once and the sum is unpacked once (see `_kronecker`)."""
-    signed = list(zip(pairs, repeat(1)) if signs is None else zip(pairs, signs, strict=True))
-    if any(s not in (1, -1) for _, s in signed):
-        raise ValueError("each sign must be +1 or -1")
-    terms = [(s, a._v + b._v, a, b) for (a, b), s in signed if a._c and b._c]
-    return LaurentPoly._raw(*_kronecker(terms)) if terms else ZERO
 
 
 def lp_add_bracket(p: LaurentPoly, q: LaurentPoly, b: int) -> LaurentPoly:

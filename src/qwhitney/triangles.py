@@ -9,13 +9,15 @@ triangle object.  Entries are exact Laurent polynomials; each triangle is
 filled row-major on demand and entries are never recomputed.
 
 Every entry is read through the shared triangle: bind
-`get_triangle(family, params).value` once, then call it with (n, k).
+`get_triangle(family, params).value` once, then call it with (n, k); an
+entry of its inverse, through `.inverse.value` the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_add_bracket, lp_dot, q_power
@@ -68,8 +70,6 @@ class Triangle:
         self.family = family
         self.params = params
         self._rows: list[list[LaurentPoly]] = [[ONE]]
-        # Set by invert_unit_triangular, so the inverse lives as long as its source.
-        self.inverse: InverseMatrix | None = None
 
     def value(self, n: int, k: int) -> LaurentPoly:
         if n < 0 or k < 0 or k > n:
@@ -82,6 +82,12 @@ class Triangle:
             raise ValueError("row index must be >= 0")
         self._ensure(n)
         return tuple(self._rows[n])
+
+    @cached_property
+    def inverse(self) -> InverseMatrix:
+        """The forward-substitution inverse, kept on the triangle, so every
+        name of this triangle shares it."""
+        return InverseMatrix(self)
 
     def _ensure(self, n: int) -> None:
         while len(self._rows) <= n:
@@ -195,13 +201,3 @@ class InverseMatrix:
                 # Row j, built and checked earlier, holds 1 / T[j, j] on its diagonal.
                 row[j] = -(acc * self._rows[j][j])
             self._rows.append(row)
-
-
-def invert_unit_triangular(family: FamilyId, params: Params, nmax: int) -> InverseMatrix:
-    """Forward-substitution inverse of a family triangle, filled up to nmax and
-    kept on the triangle, so every name of that triangle shares it."""
-    source = get_triangle(family, params)
-    if source.inverse is None:
-        source.inverse = InverseMatrix(source)
-    source.inverse._ensure(nmax)
-    return source.inverse

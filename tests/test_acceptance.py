@@ -23,7 +23,6 @@ from qwhitney.triangles import (
     Params,
     dowling,
     get_triangle,
-    invert_unit_triangular,
 )
 from qwhitney.formulas import (
     Variant,
@@ -133,8 +132,8 @@ def test_c4_orthogonality_and_inverse_relations():
                         right = right + w2(n, k) * w1(k, j)
                     assert left == want, ("first*second", p, n, j)
                     assert right == want, ("second*first", p, n, j)
-            inv = invert_unit_triangular(FamilyId.W1_FALLING, p, 12)
-            inv2 = invert_unit_triangular(FamilyId.W2, p, 12)
+            inv = get_triangle(FamilyId.W1_FALLING, p).inverse
+            inv2 = get_triangle(FamilyId.W2, p).inverse
             for n in range(13):
                 for k in range(n + 1):
                     assert inv.value(n, k) == w2(n, k), ("inverse", p, n, k)

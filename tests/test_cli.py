@@ -543,6 +543,16 @@ class TestGridParsing:
         assert run_cli(["audit", "--grid", "m=1 m=2 nmax=3", "--quiet"]) == 2
         assert "bad --grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["r=0..100000000000000", "m=1..100000000000000 r=0"])
+    def test_huge_range_exits_two(self, capsys, spec):
+        # Expanded, such a range ran out of memory and exited 1, which reads
+        # as "audit not clean"; it is refused before it is expanded.
+        assert run_cli(["audit", "--grid", spec, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "bad --grid" in errors[0] and "33554433 values" in errors[0]
+        assert "Traceback" not in err
+
 
 @given(
     st.dictionaries(st.integers(min_value=-40, max_value=40), st.integers(min_value=-(10**30), max_value=10**30), max_size=12),

@@ -18,7 +18,6 @@ from qwhitney.triangles import (
     clear_registry,
     dowling,
     get_triangle,
-    invert_unit_triangular,
     lah_row_sum,
 )
 from qwhitney.upoly import UPoly, falling_factorial_u, rising_factorial_u
@@ -107,9 +106,7 @@ class TestWhitney2Verbatim:
         for p in SMALL_GRID:
             flipped = Params(p.m, -p.r)
             assert get_triangle(FamilyId.W2_VERBATIM, p) is get_triangle(FamilyId.W2, flipped)
-            assert invert_unit_triangular(FamilyId.W2_VERBATIM, p, 2) is invert_unit_triangular(
-                FamilyId.W2, flipped, 2
-            )
+            assert get_triangle(FamilyId.W2_VERBATIM, p).inverse is get_triangle(FamilyId.W2, flipped).inverse
 
 
 class TestScaledForms:
@@ -288,27 +285,27 @@ class TestRowSums:
 class TestInversion:
     def test_inverse_of_falling_is_whitney2(self):
         for p in SMALL_GRID:
-            inv = invert_unit_triangular(FamilyId.W1_FALLING, p, 8)
+            inv = get_triangle(FamilyId.W1_FALLING, p).inverse
             w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
                 for k in range(n + 1):
                     assert inv.value(n, k) == w2(n, k), (p, n, k)
 
     def test_rising_inverse_example(self):
-        inv = invert_unit_triangular(FamilyId.W1_RISING, P10, 2)
+        inv = get_triangle(FamilyId.W1_RISING, P10).inverse
         assert inv.value(2, 1) == -q_power(-1)
         assert inv.value(2, 2) == q_power(-1)
 
     def test_diagonal_product_is_one(self):
         for family in (FamilyId.W2, FamilyId.LAH, FamilyId.W1_RISING):
-            inv = invert_unit_triangular(family, P11, 5)
+            inv = get_triangle(family, P11).inverse
             tri = get_triangle(family, P11)
             for n in range(6):
                 assert inv.value(n, n) * tri.value(n, n) == ONE
 
     def test_two_sided_identity(self):
         for family in (FamilyId.W1_RISING, FamilyId.LAH):
-            inv = invert_unit_triangular(family, Params(2, -1), 6)
+            inv = get_triangle(family, Params(2, -1)).inverse
             tri = get_triangle(family, Params(2, -1))
             for n in range(7):
                 for j in range(n + 1):
@@ -332,15 +329,15 @@ class TestInversion:
         assert (copy.n, copy.entry, str(copy)) == (1, q_bracket(2), str(err.value))
 
     def test_out_of_range_is_zero(self):
-        inv = invert_unit_triangular(FamilyId.W2, P10, 3)
+        inv = get_triangle(FamilyId.W2, P10).inverse
         assert inv.value(2, 3) == ZERO
         assert inv.value(-1, 0) == ZERO
 
     def test_cleared_registry_drops_inverses(self):
-        inv = invert_unit_triangular(FamilyId.W2, P11, 3)
-        assert invert_unit_triangular(FamilyId.W2, P11, 3) is inv
+        inv = get_triangle(FamilyId.W2, P11).inverse
+        assert get_triangle(FamilyId.W2, P11).inverse is inv
         clear_registry()
-        fresh = invert_unit_triangular(FamilyId.W2, P11, 3)
+        fresh = get_triangle(FamilyId.W2, P11).inverse
         assert fresh is not inv and fresh.source is get_triangle(FamilyId.W2, P11)
 
 
