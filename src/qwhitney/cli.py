@@ -9,11 +9,12 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, run_all
+from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, _usable_cpus, run_all
 from .qalg import _MAX_SPAN, EvalAtZeroError, LaurentPoly
 from .triangles import FamilyId, Params, dowling, get_triangle
 from .formulas import whitney2_rational_gf
@@ -73,19 +74,20 @@ def _check_cells(args: argparse.Namespace, values: Iterable[LaurentPoly]) -> Non
             value.eval_at(0)
 
 
-def _write(chunks: Iterable[str], output: str | None) -> None:
-    """Write the chunks, one at a time, to stdout or to the named file.  An
-    output that cannot be opened or written is reported on one line with exit
-    code 2; only a reader that closed stdout early, as `| head` does, ends the
+@contextmanager
+def _opened(output: str | None) -> Iterator[TextIO]:
+    """Stdout or the named file, to write to in the `with` body.  An output
+    that cannot be opened or written is reported on one line with exit code
+    2; only a reader that closed stdout early, as `| head` does, ends the
     output quietly with the command's own exit code."""
     to_stdout = output is None or output == "-"
     try:
         if to_stdout:
-            sys.stdout.writelines(chunks)
+            yield sys.stdout
             sys.stdout.flush()
         else:
             with open(output, "w") as fh:
-                fh.writelines(chunks)
+                yield fh
     except OSError as exc:
         if to_stdout:
             # Send what is still buffered to the null device, so the flush at
@@ -97,10 +99,26 @@ def _write(chunks: Iterable[str], output: str | None) -> None:
         _error(f"cannot write {output}: {exc.strerror or exc}")
 
 
+def _write(chunks: Iterable[str], output: str | None) -> None:
+    """Write the chunks, one at a time, to stdout or to the named file."""
+    with _opened(output) as stream:
+        stream.writelines(chunks)
+
+
 def _error(message: str) -> NoReturn:
     """Report an error on one stderr line, with no usage text, and exit 2."""
     print(f"qwhitney: error: {message}", file=sys.stderr)
     raise SystemExit(2) from None
+
+
+def _json_ends(args: argparse.Namespace, doc: dict, key: str) -> tuple[str, str]:
+    """The text of `json.dumps(doc + {key: [...]}, indent=1)` before the list
+    and after it, with a newline at the end and `"q"` added last when given."""
+    doc = dict(doc, **{key: []})
+    if args.q is not None:
+        doc["q"] = str(args.q)
+    head, _, tail = json.dumps(doc, indent=1).partition(f'"{key}": []')
+    return f'{head}"{key}": ', tail + "\n"
 
 
 def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable[str]) -> Iterator[str]:
@@ -108,16 +126,13 @@ def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable[str]) -
     with `"q"` added last when given, yielded one item at a time.  Each item
     is the text of `json.dumps(item, indent=1)` with two spaces after each
     newline, as it sits two levels deep."""
-    doc = dict(doc, **{key: []})
-    if args.q is not None:
-        doc["q"] = str(args.q)
-    head, _, tail = json.dumps(doc, indent=1).partition(f'"{key}": []')
-    yield f'{head}"{key}": '
+    head, tail = _json_ends(args, doc, key)
+    yield head
     sep = "["
     for item in items:
         yield sep + "\n  " + item
         sep = ","
-    yield ("[]" if sep == "[" else "\n ]") + tail + "\n"
+    yield ("[]" if sep == "[" else "\n ]") + tail
 
 
 class _Echo:
@@ -127,9 +142,14 @@ class _Echo:
         return text
 
 
+def _csv_writer():
+    """A CSV writer whose `writerow` returns its line, with quoted text cells."""
+    return csv.writer(_Echo(), quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+
+
 def _csv(args: argparse.Namespace, header: list[str], records: Iterable[tuple]) -> Iterator[str]:
     """One CSV line per (index, ..., value) record, the value as a quoted cell."""
-    writer = csv.writer(_Echo(), quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer = _csv_writer()
     yield writer.writerow(header)
     for *index, value in records:
         yield writer.writerow([*index, _cell(value, args)])
@@ -144,43 +164,215 @@ def _tabular(cols: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
     yield "\\end{tabular}\n"
 
 
-def _grid(args: argparse.Namespace, rows: Iterable[Iterable[LaurentPoly]]) -> Iterator[str]:
+# A table in one format: its head, the chunks of row n of values, its tail.
+_Layout = tuple[str, Callable[[int, Sequence[LaurentPoly]], Iterator[str]], str]
+
+
+def _grid(args: argparse.Namespace) -> _Layout:
     """Rows of values as comma-separated text lines or as the rows of a LaTeX
-    tabular with nmax + 1 columns, yielded one cell at a time, with its
-    separator and delimiters as chunks of their own, so only one formatted
-    cell is held at once and none is copied."""
+    tabular with nmax + 1 columns.  Each cell, separator and delimiter is a
+    chunk of its own, so only one formatted cell is held at once and none is
+    copied."""
     if args.format == "text":
-        for row in rows:
-            for k, v in enumerate(row):
+
+        def line(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
+            for k, v in enumerate(values):
                 if k:
                     yield ", "
                 yield _cell(v, args)
             yield "\n"
-        return
 
-    def cells(row: Iterable[LaurentPoly]) -> Iterator[str]:
-        for k, v in enumerate(row):
+        return "", line, ""
+
+    def row(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
+        for k, v in enumerate(values):
             yield " & $" if k else "$"
             yield _cell(v, args)
             yield "$"
+        yield " \\\\\n"
 
-    yield from _tabular("r" * (args.nmax + 1), map(cells, rows))
+    return f"\\begin{{tabular}}{{{'r' * (args.nmax + 1)}}}\n", row, "\\end{tabular}\n"
+
+
+def _table(args: argparse.Namespace) -> _Layout:
+    """The triangle table in `args.format`, so that any row can be rendered
+    on its own: CSV records (n, k, value), a JSON list of rows, or a grid."""
+    if args.format == "csv":
+        writer = _csv_writer()
+
+        def records(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
+            for k, v in enumerate(values):
+                yield writer.writerow([n, k, _cell(v, args)])
+
+        return writer.writerow(["n", "k", "value"]), records, ""
+    if args.format == "json":
+        doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
+        head, tail = _json_ends(args, doc, "rows")
+
+        def item(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
+            cells = ",".join(["\n   " + _json_cell(v, args, "   ") for v in values])
+            yield ("," if n else "[") + "\n  [" + cells + "\n  ]"
+
+        return head, item, "\n ]" + tail
+    return _grid(args)
+
+
+# The messages between a table's two processes are row numbers of _MSG bytes.
+_MSG = 4
+
+
+def _send(fd: int, n: int) -> None:
+    """Send n on pipe `fd`; EOFError once the other process has closed its end."""
+    try:
+        os.write(fd, n.to_bytes(_MSG, "little", signed=True))
+    except BrokenPipeError:
+        raise EOFError from None
+
+
+def _receive(fd: int, last: int) -> int:
+    """The last message waiting on pipe `fd`, or `last` if none is and `fd`
+    does not block; EOFError once the other process has closed its end.  Each
+    message is written whole, so the pipe holds whole messages only."""
+    try:
+        data = os.read(fd, 1 << 16)
+    except BlockingIOError:
+        return last
+    if not data:
+        raise EOFError
+    return int.from_bytes(data[-_MSG:], "little", signed=True)
+
+
+# A table of fewer rows is written by one process: the fork and the
+# writer's own fill cost more than the writer saves (break-even near 25 rows
+# of lah (3,3) and 33 rows of w2 (1,0) on 2 vCPUs).
+_TWO_PROCESS_ROWS = 30
+
+
+def _forks(args: argparse.Namespace, stream: TextIO) -> bool:
+    """Whether a table is written by two processes: when it has at least
+    _TWO_PROCESS_ROWS rows, two CPUs are usable, `os.fork` exists and the
+    output has a file descriptor.  At `--q 0` every cell is read before the
+    first byte, so there is no work left to share."""
+    if args.nmax + 1 < _TWO_PROCESS_ROWS or args.q == 0 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return False
+    try:
+        stream.fileno()
+    except (OSError, ValueError):
+        return False
+    return True
+
+
+def _write_meeting(stream: TextIO, render: Callable[[int], Iterable[str]], nrows: int) -> None:
+    """Write rows 0 to nrows - 1, each the chunks `render(n)`, with a forked
+    writer process.  This process renders and writes rows from row 0 down, and
+    the writer renders rows from the last one up and keeps their text.  They
+    meet where the writer has already rendered this process's next row: this
+    process flushes and sends the writer that row, and the writer writes the
+    rows from there to the last one.  The meeting point follows from how fast
+    each process goes, so nothing is tuned.
+
+    Neither process blocks on the other before the handoff, so neither can
+    hang on a dead one.  The writer is reaped before this returns, and killed
+    first on any error here.  A write error in the writer is raised here as
+    the OSError it met; a writer that died is reported with exit code 2."""
+    up_r, up_w = os.pipe()  # writer -> parent: each row the writer has rendered
+    down_r, down_w = os.pipe()  # parent -> writer: each row the parent starts, then ~the handoff row
+    pid = os.fork()
+    if not pid:
+        os.close(up_r)
+        os.close(down_w)
+        _writer(stream, render, nrows, up_w, down_r)
+    os.close(up_w)
+    os.close(down_r)
+    os.set_blocking(up_r, False)
+    status = None
+    try:
+        try:
+            low = nrows  # the writer has rendered rows low to nrows - 1
+            for n in range(nrows):
+                low = _receive(up_r, low)
+                if n >= low:
+                    stream.flush()
+                    _send(down_w, ~n)
+                    break
+                _send(down_w, n)
+                stream.writelines(render(n))
+            else:
+                return  # the writer, killed below, has nothing to write
+        except EOFError:
+            pass  # the writer has gone; its exit status tells how
+        _, status = os.waitpid(pid, 0)
+    finally:
+        os.close(up_r)
+        os.close(down_w)
+        if status is None:
+            import signal  # here: at the top it would add about 1 ms to every start
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if 0 < code < 255:
+        raise OSError(code, os.strerror(code))
+    if code:
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        _error(f"the table writer process died ({how})")
+
+
+def _writer(stream: TextIO, render: Callable[[int], Iterable[str]], nrows: int, up: int, down: int) -> NoReturn:
+    """The writer process of `_write_meeting`.  It never returns into its
+    caller: it ends the process with exit code 0, or the errno of its write
+    error, or 255."""
+    code = 255
+    try:
+        import signal
+
+        # Ctrl-C reaches both processes; the writer ends at once.
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        kept = []  # the text of rows nrows - 1, nrows - 2, ..., encoded
+        last = 0  # the last message: the row the parent started, or ~the handoff row
+        os.set_blocking(down, False)
+        try:
+            # Row 0 is the parent's first row; it is never rendered here.
+            for n in range(nrows - 1, 0, -1):
+                last = _receive(down, last)
+                if not 0 <= last < n:
+                    break
+                kept.append("".join(render(n)).encode(stream.encoding, stream.errors))
+                _send(up, n)
+        except Exception:
+            pass  # the parent meets the same error in its own rows, or renders them
+        os.set_blocking(down, True)
+        while last >= 0:
+            last = _receive(down, last)
+        fd = stream.fileno()
+        for data in reversed(kept[: nrows - ~last]):
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        code = 0
+    except OSError as exc:
+        code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    finally:
+        os._exit(code)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     tri = get_triangle(args.family, Params(args.m, args.r))
-    rows = [tri.row(n) for n in range(args.nmax + 1)]
-    _check_cells(args, chain.from_iterable(rows))
-    if args.format == "csv":
-        records = ((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row))
-        chunks = _csv(args, ["n", "k", "value"], records)
-    elif args.format == "json":
-        doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
-        items = ("[" + ",".join(["\n   " + _json_cell(v, args, "   ") for v in row]) + "\n  ]" for row in rows)
-        chunks = _json(args, doc, "rows", items)
-    else:
-        chunks = _grid(args, rows)
-    _write(chunks, args.output)
+    nrows = args.nmax + 1
+    _check_cells(args, chain.from_iterable(map(tri.row, range(nrows))))
+    head, row, tail = _table(args)
+
+    def render(n: int) -> Iterator[str]:
+        return row(n, tri.row(n))
+
+    with _opened(args.output) as stream:
+        stream.write(head)
+        if _forks(args, stream):
+            _write_meeting(stream, render, nrows)
+        else:
+            for n in range(nrows):
+                stream.writelines(render(n))
+        stream.write(tail)
     return 0
 
 
@@ -194,7 +386,8 @@ def cmd_dowling(args: argparse.Namespace) -> int:
         doc = {"form": args.form, "m": args.m, "r": args.r, "nmax": args.nmax}
         chunks = _json(args, doc, "values", (_json_cell(v, args, "  ") for v in values))
     else:
-        chunks = _grid(args, [values])
+        head, row, tail = _grid(args)
+        chunks = chain([head], row(0, values), [tail])
     _write(chunks, args.output)
     return 0
 
@@ -359,17 +552,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_q_values(sys.argv[1:] if argv is None else argv))
     # Params and whitney2_rational_gf reject a bad --m and --order themselves.
     if args.command in ("table", "dowling") and args.nmax < 0:
-        parser.error("--nmax must be >= 0")
+        _error("--nmax must be >= 0")
     if args.command == "expand" and args.k < 0:
-        parser.error("--k must be >= 0")
+        _error("--k must be >= 0")
     if args.command == "audit":
         try:
             args.grid = parse_grid(args.grid)
         except (ValueError, TypeError) as exc:
-            parser.error(f"bad --grid: {exc}")
+            _error(f"bad --grid: {exc}")
         for check_id in args.check or ():
             if check_id not in REGISTRY:
-                parser.error(f"unknown check id {check_id!r}")
+                _error(f"unknown check id {check_id!r}")
     # Parsed values stay under the limit on the digits of an int <-> str
     # conversion; a value at --q, such as lah row 30 at q = 1000, may be
     # longer.  The limit is lifted for the command and then restored.
@@ -379,9 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except EvalAtZeroError:
-        parser.error("--q 0 is not allowed for families with negative q-exponents")
+        _error("--q 0 is not allowed for families with negative q-exponents")
     except ValueError as exc:
-        parser.error(str(exc))
+        _error(str(exc))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -165,8 +165,8 @@ def lp_dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
 
 # The rendering suffixes of a run of _SUFFIX_BLOCK exponents are made once
 # and kept in a memo of at most _SUFFIX_BLOCKS blocks.  The suffix of an
-# exponent e with |e| < _SUFFIX_FAR takes at most 72 bytes with its slot in
-# the block, so the memo holds at most about 4.7 MB.
+# exponent e with |e| < _SUFFIX_FAR takes at most 74 bytes with its slot in
+# the block, so the memo holds at most about 4.9 MB.
 _SUFFIX_BLOCK = 1024
 _SUFFIX_BLOCKS = 64
 _SUFFIX_FAR = 10**9
@@ -175,11 +175,12 @@ _SUFFIX_FAR = 10**9
 @lru_cache(maxsize=_SUFFIX_BLOCKS)
 def _suffix_block(times: str, lbrace: str, rbrace: str, b: int) -> tuple[str, ...]:
     """The suffixes of exponents b * _SUFFIX_BLOCK up to the next block's:
-    `times` q^e with e in braces, but "" at e = 0 and `times` q at e = 1."""
+    `times` q^e with e in braces, but "" at e = 0 and `times` q at e = 1,
+    each followed by the separator " + "."""
     lo = b * _SUFFIX_BLOCK
-    out = [f"{times}q^{lbrace}{e}{rbrace}" for e in range(lo, lo + _SUFFIX_BLOCK)]
+    out = [f"{times}q^{lbrace}{e}{rbrace} + " for e in range(lo, lo + _SUFFIX_BLOCK)]
     if not b:
-        out[:2] = "", f"{times}q"
+        out[:2] = " + ", f"{times}q + "
     return tuple(out)
 
 
@@ -413,42 +414,54 @@ class LaurentPoly:
         """Terms in ascending exponent order; `times` joins a coefficient to
         its power of q, and the braces enclose an exponent other than 0, 1.
 
-        Three slots per term, filled in C: separator, coefficient and suffix.
-        The suffixes are one slice of the blocks of _suffix_block, a memo of
-        at most 64 blocks of 1,024 exponents (about 4.7 MB), so each exponent
-        is formatted once per process; then only the zero and unit terms are
-        fixed up.  A palindrome's coefficients are formatted for its first
-        half alone, and the second half is those strings reversed."""
+        Two slots per term, filled in C: coefficient, and suffix with the
+        separator after it, which the last term drops.  The suffixes are
+        slices of the blocks of _suffix_block, a memo of at most 64 blocks of
+        1,024 exponents (about 4.9 MB), so each exponent is formatted once per
+        process.  A palindrome, whose first half equals its reversed second
+        half, is formatted and fixed up for its first half alone and mirrored.
+        The zero and unit terms are fixed up only when one scan of that half
+        finds any."""
         c = self._c
         if not c:
             return "0"
         v, n = self._v, len(c)
-        parts = [" + "] * (3 * n)
-        parts[0] = ""
-        half = (n + 1) // 2 if n > 1 and c == c[::-1] else n
-        digits = list(map(repr, islice(c, half)))
-        parts[1::3] = digits + digits[n - half - 1 :: -1] if half < n else digits
-        first, lo = divmod(v, _SUFFIX_BLOCK)
-        blocks = range(first, (v + n - 1) // _SUFFIX_BLOCK + 1)
+        pal = n > 1 and c[: n // 2] == c[: (n - 1) // 2 : -1]
+        half = (n + 1) // 2 if pal else n
+        first = c[:half] if pal else c
+        digits = list(map(repr, first))
+        parts = [""] * (2 * n)
+        parts[0 : 2 * half : 2] = digits
+        if pal:
+            parts[2 * half :: 2] = digits[n - half - 1 :: -1]
+        b0, lo = divmod(v, _SUFFIX_BLOCK)
+        b1 = (v + n - 1) // _SUFFIX_BLOCK
         # Exponents too long to keep are formatted for this call alone.
         block = _suffix_block if -_SUFFIX_FAR < v and v + n <= _SUFFIX_FAR else _suffix_block.__wrapped__
-        parts[2::3] = islice(chain.from_iterable(block(times, lbrace, rbrace, b) for b in blocks), lo, lo + n)
-        i = -1
-        for _ in range(c.count(0)):  # a zero term is blanked
-            i = c.index(0, i + 1)
-            parts[3 * i : 3 * i + 3] = "", "", ""
-        # A coefficient +-1 off exponent 0 is its sign alone, before its
-        # suffix without `times`.
-        cut = len(times)
-        for x, sign in ((1, ""), (-1, "-")):
-            i = -1
-            for _ in range(c.count(x)):
-                i = c.index(x, i + 1)
-                if i != -v:
-                    parts[3 * i + 1 : 3 * i + 3] = sign, parts[3 * i + 2][cut:]
+        if b0 == b1:
+            parts[1::2] = block(times, lbrace, rbrace, b0)[lo : lo + n]
+        else:
+            blocks = (block(times, lbrace, rbrace, b) for b in range(b0, b1 + 1))
+            parts[1::2] = islice(chain.from_iterable(blocks), lo, lo + n)
+        parts[-1] = parts[-1][:-3]
+        low = min(map(abs, first))
+        if low < 2:
+            # A zero term is blanked.  A coefficient +-1 off exponent 0 is its
+            # sign alone, before its suffix without `times`.  An odd
+            # palindrome's centre is its own mirror, and is fixed up once.
+            cut = len(times)
+            for x, sign in ((0, ""), (1, ""), (-1, "-")) if not low else ((1, ""), (-1, "-")):
+                i = -1
+                for _ in range(first.count(x)):
+                    i = first.index(x, i + 1)
+                    for j in (i, n - 1 - i) if pal and 2 * i + 1 != n else (i,):
+                        if not x:
+                            parts[2 * j : 2 * j + 2] = "", ""
+                        elif j != -v:
+                            parts[2 * j : 2 * j + 2] = sign, parts[2 * j + 1][cut:]
         # A negative coefficient follows " + "; an exponent's sign follows "^".
         text = "".join(parts)
-        return text.replace(" + -", " - ") if min(islice(c, half)) < 0 else text
+        return text.replace(" + -", " - ") if min(first) < 0 else text
 
     def __str__(self) -> str:
         return self._render("*", "", "")

@@ -7,8 +7,11 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,6 +302,183 @@ class TestTable:
         assert not any(tmp_path.iterdir())
 
 
+# Scripts for a new interpreter.  TWO_CPUS makes two CPUs usable and lifts the
+# row threshold, so a table written to a file or a pipe is written by two
+# processes.  WRITER_FIRST makes the parent wait for the writer's first row
+# before its own first one, so the writer writes at least the last row.
+# HANDOFFS prints each handoff row.
+TWO_CPUS = """
+import os
+from qwhitney import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._TWO_PROCESS_ROWS = 1
+"""
+WRITER_FIRST = """
+import select, sys
+waiting, meet, receive = {}, cli._write_meeting, cli._receive
+def _write_meeting(stream, render, nrows):
+    waiting["pid"] = os.getpid()
+    return meet(stream, render, nrows)
+def _receive(fd, last):
+    if waiting.pop("pid", None) == os.getpid():
+        select.select([fd], [], [])
+    return receive(fd, last)
+cli._write_meeting, cli._receive = _write_meeting, _receive
+"""
+HANDOFFS = """
+send = cli._send
+def _send(fd, n):
+    if n < 0:
+        print("handoff", ~n, file=sys.stderr)
+    send(fd, n)
+cli._send = _send
+"""
+CLI = "import sys\nfrom qwhitney.cli import main\nsys.exit(main())\n"
+# Writes the table to stdout, then again to the file named first.
+TO_STDOUT_AND_FILE = "out = sys.argv.pop(1)\nsys.exit(cli.main(sys.argv[1:]) or cli.main(sys.argv[1:] + ['-o', out]))\n"
+
+
+def _python(code, *argv, **kwargs):
+    """A new interpreter running CODE with ARGV, in a session of its own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, start_new_session=True, **kwargs)
+
+
+def _left(proc):
+    """The processes left in PROC's session once it has ended: none, if it
+    reaped its writer.  Whatever is left is then killed."""
+    out = subprocess.run(["pgrep", "-g", str(proc.pid)], capture_output=True, text=True, timeout=10).stdout
+    with suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    return out.split()
+
+
+LAH_24 = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "24"]
+# lah (3,3) is palindromic, lah (2,-3) has zero entries and negative
+# coefficients, and w1 is not palindromic.
+FORK_TABLES = {
+    "lah-3-3": LAH_24[1:],
+    "lah-2-m3": ["--family", "lah", "--m", "2", "--r", "-3", "--nmax", "24"],
+    "w1-2-3": ["--family", "w1", "--m", "2", "--r", "3", "--nmax", "24"],
+}
+
+
+class TestTableWriterProcess:
+    @pytest.mark.parametrize("q", [[], ["--q", "1/2"]], ids=["poly", "at-q"])
+    @pytest.mark.parametrize("table", FORK_TABLES)
+    def test_same_bytes_as_one_process(self, table, q, tmp_path, capsys):
+        for fmt in ("text", "csv", "json", "latex"):
+            argv = ["table", *FORK_TABLES[table], "--format", fmt, *q]
+            assert run_cli(argv) == 0
+            expected = capsys.readouterr().out.encode()
+            out = tmp_path / f"t.{fmt}"
+            code = TWO_CPUS + WRITER_FIRST + HANDOFFS + TO_STDOUT_AND_FILE
+            with _python(code, str(out), *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0 and _left(proc) == []
+            assert stdout == expected and out.read_bytes() == expected
+            # Each call handed the writer the last row at least.
+            handoffs = [int(line.split()[1]) for line in stderr.decode().splitlines() if line.startswith("handoff")]
+            assert len(handoffs) == 2 and max(handoffs) <= 24
+
+    @pytest.mark.parametrize(
+        "setup, q",
+        [
+            ("cli._TWO_PROCESS_ROWS = 31\n", []),
+            ("os.sched_getaffinity = lambda pid: {0}\n", []),
+            ("", ["--q", "0"]),
+        ],
+        ids=["below-threshold", "one-cpu", "q-zero"],
+    )
+    def test_one_process_cases(self, setup, q, capsys):
+        argv = ["table", "--family", "w2", "--m", "1", "--r", "0", "--nmax", "29", *q]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        code = TWO_CPUS + setup + WRITER_FIRST + HANDOFFS + CLI
+        with _python(code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout, stderr) == (0, expected, b"")
+
+    def test_dead_writer_exits_two(self, tmp_path):
+        # The writer kills itself in the middle of its second row.
+        dying = """
+import signal
+writer = cli._writer
+def _writer(stream, render, nrows, up, down):
+    def render_then_die(n):
+        for i, chunk in enumerate(render(n)):
+            if n < nrows - 1 and i == 5:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield chunk
+    writer(stream, render_then_die, nrows, up, down)
+cli._writer = _writer
+"""
+        out = tmp_path / "t.txt"
+        with _python(TWO_CPUS + WRITER_FIRST + dying + CLI, *LAH_24, "-o", str(out), stderr=subprocess.PIPE) as proc:
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 2 and _left(proc) == []
+        assert stderr == b"qwhitney: error: the table writer process died (killed by signal 9)\n"
+
+    def test_writer_write_error_exits_two(self, tmp_path, capsys):
+        # A file size limit one byte short of the table: the writer, which
+        # writes the last row, meets it, and the parent reports it.
+        assert run_cli(LAH_24) == 0
+        size = len(capsys.readouterr().out.encode())
+        limit = f"import resource\nresource.setrlimit(resource.RLIMIT_FSIZE, ({size - 1}, {size - 1}))\n"
+        out = tmp_path / "t.txt"
+        code = TWO_CPUS + WRITER_FIRST + HANDOFFS + limit + CLI
+        with _python(code, *LAH_24, "-o", str(out), stderr=subprocess.PIPE) as proc:
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 2 and _left(proc) == []
+        (handoff, error) = stderr.decode().splitlines()
+        assert handoff.startswith("handoff") and error == f"qwhitney: error: cannot write {out}: File too large"
+        assert out.stat().st_size == size - 1
+
+    @needs_dev_full
+    def test_stdout_write_error_exits_two(self):
+        with open("/dev/full", "w") as full:
+            with _python(TWO_CPUS + WRITER_FIRST + CLI, *LAH_24, stdout=full, stderr=subprocess.PIPE) as proc:
+                _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 2 and _left(proc) == []
+        assert stderr == b"qwhitney: error: cannot write stdout: No space left on device\n"
+
+    def test_reader_closing_stdout_early(self, capsys):
+        # `qwhitney table ... | head -c 100`
+        assert run_cli(LAH_24) == 0
+        expected = capsys.readouterr().out.encode()[:100]
+        with subprocess.Popen(["head", "-c", "100"], stdin=subprocess.PIPE, stdout=subprocess.PIPE) as head:
+            with _python(TWO_CPUS + WRITER_FIRST + CLI, *LAH_24, stdout=head.stdin, stderr=subprocess.PIPE) as proc:
+                head.stdin.close()
+                _, stderr = proc.communicate(timeout=120)
+            assert head.stdout.read() == expected
+        assert proc.returncode == 0 and _left(proc) == []
+        assert stderr == b""
+
+    def test_interrupt_stops_both_processes(self, tmp_path):
+        # The writer never renders a row, so the parent waits for it until
+        # Ctrl-C reaches both.
+        hanging = """
+import time
+writer = cli._writer
+def _writer(stream, render, nrows, up, down):
+    writer(stream, lambda n: time.sleep(600) or render(n), nrows, up, down)
+cli._writer = _writer
+"""
+        code = TWO_CPUS + WRITER_FIRST + hanging + CLI
+        with _python(code, *LAH_24, "-o", str(tmp_path / "t.txt"), stderr=subprocess.PIPE) as proc:
+            for _ in range(600):
+                if subprocess.run(["pgrep", "-P", str(proc.pid)], capture_output=True, timeout=10).stdout:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("the writer process did not start")
+            start = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.communicate(timeout=30)
+        assert proc.returncode != 0 and time.monotonic() - start < 5
+        assert _left(proc) == []
+
+
 class TestDowling:
     def test_form1_text(self, capsys):
         assert run_cli(["dowling", "--form", "1", "--m", "1", "--r", "0", "--nmax", "3"]) == 0
@@ -514,6 +694,42 @@ class TestAudit:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["audit", "--grid", "m=1 m=2"], "bad --grid: grid key 'm' given more than once"),
+            (["audit", "--check", "bogus"], "unknown check id 'bogus'"),
+            (["table", "--family", "w2", "--m", "1", "--r", "0", "--nmax", "-1"], "--nmax must be >= 0"),
+            (["dowling", "--form", "1", "--m", "1", "--r", "0", "--nmax", "-1"], "--nmax must be >= 0"),
+            (["expand", "--k", "-1", "--order", "3", "--m", "1", "--r", "0"], "--k must be >= 0"),
+            (["table", "--family", "w2", "--m", "0", "--r", "0", "--nmax", "1"], "m must be an integer >= 1, got 0"),
+            (
+                ["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "2", "--q", "0"],
+                "--q 0 is not allowed for families with negative q-exponents",
+            ),
+        ],
+        ids=["grid", "check", "table-nmax", "dowling-nmax", "k", "value-error", "q-zero"],
+    )
+    def test_one_line_without_usage(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"qwhitney: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--family", "w2", "--r", "0", "--nmax", "1"],
+            ["table", "--family", "w2", "--m", "x", "--r", "0", "--nmax", "1"],
+            ["table", "--family", "w2", "--m", "1", "--r", "0", "--nmax", "1", "--q", "1.5"],
+        ],
+        ids=["missing", "ill-typed", "q"],
+    )
+    def test_argparse_errors_keep_usage(self, argv, capsys):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: " in err.splitlines()[-1]
 
 
 class TestGridParsing:

@@ -600,6 +600,12 @@ class TestRendering:
     @example(LaurentPoly({e: e % 3 - 1 for e in range(-BLOCK - 3, 2 * BLOCK + 3)}))
     @example(LaurentPoly({qalg._SUFFIX_FAR - 1: -1, qalg._SUFFIX_FAR: 3, qalg._SUFFIX_FAR + 1: 1}))
     @example(LaurentPoly({-(10**30): -1, -(10**30) + 1: 2}))
+    # A unit and a zero at the centre of an odd palindrome, which its first
+    # half and its mirrored second half share.
+    @example(LaurentPoly({3: 2, 4: -1, 5: 2}))
+    @example(LaurentPoly({3: 2, 4: 1, 5: 2}))
+    @example(LaurentPoly({3: 2, 4: 0, 5: 2}))
+    @example(LaurentPoly({-1: 1, 0: 1, 1: 1}))
     @settings(max_examples=400)
     def test_matches_term_by_term_rendering(self, p):
         assert str(p) == render_oracle(p, "*", "", "")
