@@ -63,7 +63,6 @@ from .audit import (
     REGISTRY,
     UnknownCheckIdError,
     run_all,
-    run_check,
 )
 
 __all__ = [
@@ -108,7 +107,6 @@ __all__ = [
     "q_power",
     "rising_factorial_u",
     "run_all",
-    "run_check",
     "useries_inverse",
     "whitney2_explicit",
     "whitney2_horizontal",

@@ -536,11 +536,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_check(check_id: str, grid: ParamGrid) -> list[CheckResult]:
-    """Evaluate one registered check over the whole grid, both variants."""
-    return run_all(grid, [check_id]).results
-
-
 class AuditReport:
     """All check results over a grid, with summary counts and the erratum list."""
 

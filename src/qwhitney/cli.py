@@ -62,7 +62,7 @@ def _json_cell(value: LaurentPoly, args: argparse.Namespace, pad: str) -> str:
         return f'{{\n{pad} "terms": []\n{pad}}}'
     inner = pad + "  "
     term = f'{{\n{inner} "e": %d,\n{inner} "c": "%d"\n{inner}}}'
-    terms = f",\n{inner}".join([term % t for t in value.sorted_terms()])
+    terms = f",\n{inner}".join([term % t for t in value.terms().items()])
     return f'{{\n{pad} "terms": [\n{inner}{terms}\n{pad} ]\n{pad}}}'
 
 

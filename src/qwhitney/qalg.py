@@ -225,21 +225,14 @@ class LaurentPoly:
 
     # -- inspection -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
     def terms(self) -> dict[int, int]:
-        """The exponent -> coefficient map of the nonzero terms."""
+        """The exponent -> coefficient map of the nonzero terms, in ascending
+        exponent order."""
         v = self._v
         return {v + i: c for i, c in enumerate(self._c) if c}
-
-    def sorted_terms(self) -> list[tuple[int, int]]:
-        """Nonzero terms in ascending exponent order."""
-        v = self._v
-        return [(v + i, c) for i, c in enumerate(self._c) if c]
 
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
@@ -322,51 +315,6 @@ class LaurentPoly:
         """The product [b] * self, as a running window sum in O(span + |b|);
         the case p = 0 of `lp_add_bracket`."""
         return lp_add_bracket(ZERO, self, b)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / other; raises NonDivisibleError when none exists."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return ZERO
-        divisor = other._c
-        if len(self._c) < len(divisor):
-            raise NonDivisibleError("dividend support is narrower than divisor support")
-        rem = list(self._c)
-        lead = divisor[-1]
-        top = len(divisor) - 1
-        # Only the nonzero divisor terms below the leading one touch the remainder.
-        lower = [(j, c) for j, c in enumerate(divisor[:-1]) if c]
-        qlen = len(rem) - top
-        quot = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + top]
-            if not c:
-                continue
-            if c % lead:
-                raise NonDivisibleError("leading coefficient does not divide exactly")
-            qc = c // lead
-            quot[i] = qc
-            for j, dc in lower:
-                rem[i + j] -= qc * dc
-        if any(rem[:top]):
-            raise NonDivisibleError("nonzero remainder")
-        # An exact quotient has nonzero ends: a[0] = q[0] d[0] and a[-1] = q[-1] d[-1].
-        return LaurentPoly._raw(self._v - other._v, tuple(quot))
 
     # -- evaluation -------------------------------------------------------
 
@@ -477,7 +425,7 @@ class LaurentPoly:
 
     def to_json_dict(self) -> dict:
         """{"terms": [{"e": int, "c": "decimal string"}, ...]} with ascending e."""
-        return {"terms": [{"e": e, "c": str(c)} for e, c in self.sorted_terms()]}
+        return {"terms": [{"e": e, "c": str(c)} for e, c in self.terms().items()]}
 
 
 ZERO = LaurentPoly._raw(0, ())
@@ -568,25 +516,24 @@ def lp_add_bracket(p: LaurentPoly, q: LaurentPoly, b: int) -> LaurentPoly:
 
 
 def lp_div_bracket(p: LaurentPoly, b: int) -> LaurentPoly:
-    """The exact quotient p / [b]; raises NonDivisibleError when none exists.
+    """The exact quotient p / [b] for b >= 1; raises NonDivisibleError when
+    none exists.
 
-    For b > 0, Q [b] = P means Q (1 - q^b) = P (1 - q), so each residue class
-    mod b of Q is a prefix sum of the first difference of P, and Q exists iff
-    those sums vanish past its length, len(P) - b + 1.  A negative b uses
-    [-c] = -q^-c [c], as `mul_bracket` does.
+    Q [b] = P means Q (1 - q^b) = P (1 - q), so each residue class mod b of
+    Q is a prefix sum of the first difference of P, and Q exists iff those
+    sums vanish past its length, len(P) - b + 1.
     """
+    if b < 0:
+        raise ValueError(f"bracket divisor must be >= 1, got {b}")
     if not b:
         raise ZeroDivisionError("division by [0] = 0")
     c = p._c
     if not c:
         return ZERO
-    width = abs(b)
     sums = list(map(sub, c + (0,), (0,) + c))
-    for r in range(min(width, len(sums))):
-        sums[r::width] = accumulate(sums[r::width])
-    n = len(c) - width + 1
+    for r in range(min(b, len(sums))):
+        sums[r::b] = accumulate(sums[r::b])
+    n = len(c) - b + 1
     if n < 1 or any(sums[n:]):
         raise NonDivisibleError(f"not divisible by [{b}]")
-    if b > 0:
-        return LaurentPoly._raw(p._v, tuple(sums[:n]))
-    return LaurentPoly._raw(p._v - b, tuple(map(neg, sums[:n])))
+    return LaurentPoly._raw(p._v, tuple(sums[:n]))

@@ -4,12 +4,16 @@ u stands for the bracket of the indeterminate t, so a product such as
 [t+c] factors into the degree-1 polynomial [c] + q^c u.  Coefficients
 live in the Laurent ring of `qalg`; all arithmetic is exact, and series
 arithmetic is exact modulo u^(order+1).
+
+Either type offers only what the program uses: construction, `coeff`,
+the product and equality.  The module builds the bracket products
+`falling_factorial_u` and `rising_factorial_u` and inverts series.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .qalg import LaurentPoly, ONE, ZERO, lp_dot, q_bracket, q_power
 
@@ -20,7 +24,7 @@ class NonUnitConstantTermError(ArithmeticError):
 
 def _trim(coeffs: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
     d = len(coeffs)
-    while d and coeffs[d - 1].is_zero():
+    while d and not coeffs[d - 1]:
         d -= 1
     return coeffs[:d]
 
@@ -40,70 +44,29 @@ class UPoly:
         self._coeffs = _trim(tuple(coeffs))
 
     @classmethod
-    def zero(cls) -> "UPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "UPoly":
         return cls((ONE,))
-
-    @classmethod
-    def u_power(cls, n: int) -> "UPoly":
-        """u^n."""
-        return cls((ZERO,) * n + (ONE,))
-
-    def degree(self) -> int:
-        """Degree in u; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
 
     def coeff(self, i: int) -> LaurentPoly:
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
         return ZERO
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UPoly(out)
-
-    def __mul__(self, other: Union["UPoly", LaurentPoly, int]) -> "UPoly":
-        if isinstance(other, (LaurentPoly, int)):
-            return UPoly(tuple(c * other for c in self._coeffs))
+    def __mul__(self, other: "UPoly") -> "UPoly":
         if not isinstance(other, UPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         return UPoly([_product_coeff(a, b, n) for n in range(len(a) + len(b) - 1)])
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def eval_at(self, value: LaurentPoly) -> LaurentPoly:
-        """Substitute u <- value (Horner scheme)."""
-        acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * value + c
-        return acc
-
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        parts = [f"({c!s})*u^{i}" for i, c in enumerate(self._coeffs) if not c.is_zero()]
+        parts = [f"({c!s})*u^{i}" for i, c in enumerate(self._coeffs) if c]
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -151,7 +114,7 @@ class TruncSeries:
         return hash((self._order, self._coeffs))
 
     def __str__(self) -> str:
-        parts = [f"({c!s})*u^{i}" for i, c in enumerate(self._coeffs) if not c.is_zero()]
+        parts = [f"({c!s})*u^{i}" for i, c in enumerate(self._coeffs) if c]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ from qwhitney.audit import (
     UnknownCheckIdError,
     _first_mismatch,
     run_all,
-    run_check,
 )
 from qwhitney.formulas import Variant
 from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, dowling, get_triangle
@@ -152,16 +151,18 @@ class TestFirstMismatch:
 
 
 class TestRunCheck:
+    """One check over a grid, both variants: `run_all(grid, [check_id]).results`."""
+
     def test_unknown_id(self):
         with pytest.raises(UnknownCheckIdError):
-            run_check("bogus", FAST_GRID)
+            run_all(FAST_GRID, ["bogus"])
 
     def test_orthogonality_passes_everywhere(self):
-        results = run_check("C12_ORTHOGONALITY", ParamGrid((1, 2, 3), tuple(range(-2, 4)), 10))
+        results = run_all(ParamGrid((1, 2, 3), tuple(range(-2, 4)), 10), ["C12_ORTHOGONALITY"]).results
         assert all(res.status == "pass" for res in results)
 
     def test_lah_composition_variants(self):
-        results = run_check("C14_LAH_COMPOSITION", ParamGrid((1,), (0,), 6))
+        results = run_all(ParamGrid((1,), (0,), 6), ["C14_LAH_COMPOSITION"]).results
         by_variant = {res.variant: res for res in results}
         verbatim = by_variant[Variant.VERBATIM]
         assert verbatim.status == "fail"
@@ -170,11 +171,11 @@ class TestRunCheck:
         assert by_variant[Variant.CORRECTED].status == "pass"
 
     def test_recurrence_sign_invisible_at_r_zero(self):
-        results = run_check("C03_W_RECURRENCE_SIGN", ParamGrid((1, 2, 3), (0,), 6))
+        results = run_all(ParamGrid((1, 2, 3), (0,), 6), ["C03_W_RECURRENCE_SIGN"]).results
         assert all(res.status == "pass" for res in results)
 
     def test_recurrence_sign_counterexample(self):
-        results = run_check("C03_W_RECURRENCE_SIGN", ParamGrid((1,), (1,), 6))
+        results = run_all(ParamGrid((1,), (1,), 6), ["C03_W_RECURRENCE_SIGN"]).results
         verbatim = next(res for res in results if res.variant is Variant.VERBATIM)
         assert verbatim.status == "fail"
         ce = verbatim.counterexample
@@ -182,7 +183,7 @@ class TestRunCheck:
         assert ce.lhs == -q_power(-1) and ce.rhs == ONE
 
     def test_lah_diagonal_minimal_counterexample(self):
-        results = run_check("C18_LAH_DIAGONAL", ParamGrid((1,), (0,), 6))
+        results = run_all(ParamGrid((1,), (0,), 6), ["C18_LAH_DIAGONAL"]).results
         verbatim = next(res for res in results if res.variant is Variant.VERBATIM)
         ce = verbatim.counterexample
         # 2rn + m n (n-1) first differs from 0 at n = 2 when r = 0, m = 1.
@@ -201,18 +202,18 @@ class TestRunCheck:
         grid = ParamGrid((1, 2), (-1, 0, 2), 5)
 
         def verdicts(check_id):
-            return [(res.m, res.r, res.status, res.counterexample) for res in run_check(check_id, grid)]
+            return [(res.m, res.r, res.status, res.counterexample) for res in run_all(grid, [check_id]).results]
 
         assert verdicts(reused) == verdicts(source)
 
     def test_dowling_forms_see_a_wrong_form_triangle(self, monkeypatch):
         grid = ParamGrid((1, 2), (0, 1), 4)
-        assert all(res.status == "pass" for res in run_check("C09_DOWLING_FORMS", grid))
+        assert all(res.status == "pass" for res in run_all(grid, ["C09_DOWLING_FORMS"]).results)
         # A form-2 triangle filled with a wrong diagonal weight, q^1 for q^0.
         clear_registry()
         monkeypatch.setitem(_WEIGHTS, FamilyId.W2_FORM2, lambda m, r, n, k: (1, m * k + r))
         try:
-            results = run_check("C09_DOWLING_FORMS", grid)
+            results = run_all(grid, ["C09_DOWLING_FORMS"]).results
         finally:
             clear_registry()
         assert all(res.status == "fail" for res in results)
@@ -232,7 +233,7 @@ class TestRunCheck:
         bad = w1.value(5, 5) + ONE
         w1._rows[5][5] = bad
         try:
-            (res,) = run_check("C13_INVERSE_RELATIONS", grid)
+            (res,) = run_all(grid, ["C13_INVERSE_RELATIONS"]).results
             report = run_all(grid)
             partner = get_triangle(FamilyId.W2, Params(2, 1)).value(5, 5)
         finally:
@@ -256,7 +257,7 @@ class TestRunCheck:
             results = {
                 (res.check, res.variant): res
                 for cid in ("C15_W_FROM_LAH", "C16_DOWLING_QI")
-                for res in run_check(cid, grid)
+                for res in run_all(grid, [cid]).results
             }
             wants = (get_triangle(FamilyId.W2, p).value(5, 5), dowling(p, 1, 5))
         finally:
@@ -264,18 +265,18 @@ class TestRunCheck:
         for cid, want in zip(("C15_W_FROM_LAH", "C16_DOWLING_QI"), wants):
             ce = results[cid, Variant.CORRECTED].counterexample
             assert (ce.n, ce.k, ce.lhs, ce.rhs) == (5, 5, bad, want)
-            assert results[cid, Variant.VERBATIM] == run_check(cid, grid)[0]
+            assert results[cid, Variant.VERBATIM] == run_all(grid, [cid]).results[0]
 
     def test_explicit_verdicts_follow_a_cleared_registry(self, monkeypatch):
         # C07, C21 and C22 report the C06/C20 verdict; a registry cleared
         # after a weight change must not serve the verdict of the old triangle.
         grid = ParamGrid((2,), (1,), 5)
         ids = ["C06_W_EXPLICIT", "C07_W_EGF", "C20_LAH_EXPLICIT", "C21_LAH_NEWTON", "C22_LAH_EGF"]
-        assert [res.status for cid in ids for res in run_check(cid, grid)] == ["pass"] * 5
+        assert [res.status for cid in ids for res in run_all(grid, [cid]).results] == ["pass"] * 5
         _bracket_one_up(monkeypatch, FamilyId.W2)
         _bracket_one_up(monkeypatch, FamilyId.LAH)
         try:
-            statuses = [res.status for cid in ids for res in run_check(cid, grid)]
+            statuses = [res.status for cid in ids for res in run_all(grid, [cid]).results]
         finally:
             clear_registry()
         assert statuses == ["fail"] * 5
@@ -286,7 +287,7 @@ class TestRunCheck:
         clear_registry()
         grid = ParamGrid((2,), (1,), 5)
         for cid in ("C06_W_EXPLICIT", "C07_W_EGF", "C20_LAH_EXPLICIT", "C21_LAH_NEWTON"):
-            run_check(cid, grid)
+            run_all(grid, [cid])
         refs = [weakref.ref(get_triangle(family, Params(2, 1))) for family in (FamilyId.W2, FamilyId.LAH)]
         clear_registry()
         gc.collect()
@@ -302,7 +303,7 @@ class TestRunCheck:
     def test_horizontal_gf_counterexample(self, monkeypatch, family, check_id, lhs, rhs):
         _bracket_one_up(monkeypatch, family)
         try:
-            (res,) = run_check(check_id, ParamGrid((2,), (1,), 6))
+            (res,) = run_all(ParamGrid((2,), (1,), 6), [check_id]).results
         finally:
             clear_registry()
         ce = res.counterexample
@@ -311,7 +312,7 @@ class TestRunCheck:
 
     def test_fail_results_carry_counterexamples(self):
         for check_id in EXPECTED_ERRATA:
-            for res in run_check(check_id, ParamGrid((1,), (1,), 4)):
+            for res in run_all(ParamGrid((1,), (1,), 4), [check_id]).results:
                 if res.status == "fail":
                     assert res.counterexample is not None
                     assert res.counterexample.lhs != res.counterexample.rhs
@@ -487,7 +488,7 @@ def _workers(pid):
 
 class TestClassicalLimits:
     def test_passes_on_default_grid(self):
-        results = run_check("C26_CLASSICAL_LIMITS", DEFAULT_GRID)
+        results = run_all(DEFAULT_GRID, ["C26_CLASSICAL_LIMITS"]).results
         assert all(res.status == "pass" for res in results)
         points = {(res.m, res.r) for res in results}
         assert len(points) == len(DEFAULT_GRID.m_values) * len(DEFAULT_GRID.r_values)

@@ -76,11 +76,12 @@ class TestFactorialDivision:
     def test_matches_direct_division(self):
         for m in (1, 2, 3):
             for k in range(5):
-                divisor = q_bracket(m) ** k
+                divisor = ONE
                 for i in range(1, k + 1):
-                    divisor = divisor * subs_q_power(q_bracket(i), m)
-                value = get_triangle(FamilyId.W2, Params(m, 1)).value(6, k) * divisor
-                assert _div_factorial_base(value, k, m) == value.exact_div(divisor)
+                    divisor = divisor * q_bracket(m) * subs_q_power(q_bracket(i), m)
+                entry = get_triangle(FamilyId.W2, Params(m, 1)).value(6, k)
+                # The exact quotient of entry * divisor by divisor is entry.
+                assert _div_factorial_base(entry * divisor, k, m) == entry
 
     def test_non_divisible_propagates(self):
         with pytest.raises(NonDivisibleError):

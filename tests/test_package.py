@@ -20,6 +20,7 @@ REMOVED = [
     "whitney1_falling",
     "lah",
     "invert_unit_triangular",
+    "run_check",
 ]
 
 
@@ -43,4 +44,4 @@ def test_removed_methods_are_gone():
 
 
 def test_export_count():
-    assert len(qwhitney.__all__) == len(set(qwhitney.__all__)) == 48
+    assert len(qwhitney.__all__) == len(set(qwhitney.__all__)) == 47

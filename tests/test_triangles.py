@@ -1,8 +1,10 @@
 """Tests for the recurrence-driven triangle families and their inverses."""
 
+import functools
 import hashlib
 import math
 import pickle
+import random
 
 import pytest
 
@@ -26,6 +28,12 @@ P10 = Params(1, 0)
 P11 = Params(1, 1)
 
 SMALL_GRID = [Params(m, r) for m in (1, 2, 3) for r in range(-2, 4)]
+
+
+def u_combination(terms, d):
+    """The u-polynomial sum of f * c over the pairs (f, c) of a u-polynomial f
+    of degree at most d and a Laurent coefficient c, coefficient by coefficient."""
+    return UPoly([sum((f.coeff(i) * c for f, c in terms), ZERO) for i in range(d + 1)])
 
 
 class TestParams:
@@ -56,9 +64,11 @@ class TestWhitney2:
     def test_boundaries(self):
         for p in SMALL_GRID:
             w2 = get_triangle(FamilyId.W2, p).value
+            power = ONE
             for n in range(9):
-                assert w2(n, 0) == q_bracket(p.r) ** n
+                assert w2(n, 0) == power
                 assert w2(n, n) == q_power(p.r * n + p.m * math.comb(n, 2))
+                power = power * q_bracket(p.r)
 
     def test_q_to_one_is_stirling2_at_1_0(self):
         rows = [[1]]
@@ -79,10 +89,8 @@ class TestWhitney2:
         for p in SMALL_GRID:
             w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
-                acc = UPoly.zero()
-                for k in range(n + 1):
-                    acc = acc + falling_factorial_u(p.m, p.r, k) * w2(n, k)
-                assert acc == UPoly.u_power(n), (p, n)
+                acc = u_combination([(falling_factorial_u(p.m, p.r, k), w2(n, k)) for k in range(n + 1)], n)
+                assert acc == UPoly([ZERO] * n + [ONE]), (p, n)
 
 
 class TestWhitney2Verbatim:
@@ -205,9 +213,7 @@ class TestLah:
         for p in SMALL_GRID:
             lah = get_triangle(FamilyId.LAH, p).value
             for n in range(9):
-                acc = UPoly.zero()
-                for k in range(n + 1):
-                    acc = acc + falling_factorial_u(p.m, 0, k) * lah(n, k)
+                acc = u_combination([(falling_factorial_u(p.m, 0, k), lah(n, k)) for k in range(n + 1)], n)
                 assert acc == rising_factorial_u(p.m, 2 * p.r, n), (p, n)
 
     def test_q_to_one_classical_lah(self):
@@ -247,6 +253,50 @@ class TestFillStep:
                         left = q_power(a) * prev[k - 1] if k else ZERO
                         right = q_bracket(b) * prev[k] if k < n else ZERO
                         assert row[k] == left + right, (family, m, r, n, k)
+
+    def test_matches_the_recurrence_mod_a_prime(self):
+        # A witness that shares no code with the kernel: each family's
+        # recurrence T[n,k] = x^a T[n-1,k-1] + [b]_x T[n-1,k] run in plain
+        # integers mod the prime P at a seeded point x, with the weights (a, b)
+        # written out from the families' definitions, not read from _WEIGHTS.
+        P = (1 << 61) - 1
+        x = random.Random(20261019).randrange(2, P - 1)
+        over = pow(1 - x, -1, P)
+
+        @functools.cache
+        def power(e):
+            return pow(x, e, P)
+
+        def bracket(b):
+            return (1 - power(b)) * over % P
+
+        weights = {
+            "w2": lambda m, r, n, k: (m * (k - 1) + r, m * k + r),
+            "w2-verbatim": lambda m, r, n, k: (m * (k - 1) - r, m * k - r),
+            "w2-star": lambda m, r, n, k: (0, m * k + r),
+            "w2-tilde": lambda m, r, n, k: (r, m * k + r),
+            # [t - c] = x^-c [t] + [-c] and [t + c] = x^c [t] + [c], c = r + (n-1)m.
+            "w1": lambda m, r, n, k: (-(r + (n - 1) * m), -(r + (n - 1) * m)),
+            "w1-rising": lambda m, r, n, k: (r + (n - 1) * m, r + (n - 1) * m),
+            "lah": lambda m, r, n, k: (2 * r + m * (k - 1) + m * (n - 1), 2 * r + k * m + (n - 1) * m),
+        }
+        assert sorted(weights) == sorted(family.value for family in FamilyId)
+        for name, weight in weights.items():
+            for m in (1, 2, 3):
+                for r in range(-3, 4):
+                    value = get_triangle(FamilyId(name), Params(m, r)).value
+                    row = [1]
+                    for n in range(17):
+                        if n:
+                            prev = row + [0]
+                            row = []
+                            for k in range(n + 1):
+                                a, b = weight(m, r, n, k)
+                                left = power(a) * prev[k - 1] if k else 0
+                                row.append((left + bracket(b) * prev[k]) % P)
+                        for k in range(n + 1):
+                            got = sum(c * power(e) for e, c in value(n, k).terms().items()) % P
+                            assert got == row[k], (name, m, r, n, k)
 
     @pytest.mark.parametrize("params", SMALL_GRID)
     def test_lah_entries_are_palindromes(self, params):

@@ -15,6 +15,19 @@ from qwhitney.upoly import (
 )
 
 
+def has_degree(p, d):
+    """True when the u-polynomial p has degree exactly d, by its coefficients."""
+    return p.coeff(d) != ZERO and p == UPoly([p.coeff(i) for i in range(d + 1)])
+
+
+def horner(p, d, value):
+    """The u-polynomial p of degree at most d at u = value."""
+    acc = ZERO
+    for i in range(d, -1, -1):
+        acc = acc * value + p.coeff(i)
+    return acc
+
+
 class TestBracketLinear:
     def test_plain_variable(self):
         assert bracket_linear(0) == UPoly((ZERO, ONE))
@@ -54,8 +67,8 @@ class TestFactorials:
 
     def test_degree_exact(self):
         for n in range(7):
-            assert falling_factorial_u(2, 3, n).degree() == n
-            assert rising_factorial_u(2, 3, n).degree() == n
+            assert has_degree(falling_factorial_u(2, 3, n), n)
+            assert has_degree(rising_factorial_u(2, 3, n), n)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
@@ -79,7 +92,7 @@ class TestFactorials:
                         want = ONE
                         for i in range(n):
                             want = want * q_bracket(t0 - s - i * m)
-                        got = falling_factorial_u(m, s, n).eval_at(q_bracket(t0))
+                        got = horner(falling_factorial_u(m, s, n), n, q_bracket(t0))
                         assert got == want, (m, s, n, t0)
 
 
@@ -134,16 +147,17 @@ class TestUPolyArithmetic:
 
     def test_trailing_zeros_trimmed(self):
         assert UPoly((ONE, ZERO, ZERO)) == UPoly((ONE,))
-        assert UPoly((ZERO,)).is_zero()
+        assert UPoly((ZERO,)) == UPoly()
 
     def test_degree_additivity(self):
-        ps = [bracket_linear(2), rising_factorial_u(2, 1, 3), falling_factorial_u(1, 0, 2)]
-        for a in ps:
-            for b in ps:
-                assert (a * b).degree() == a.degree() + b.degree()
+        ps = [(bracket_linear(2), 1), (rising_factorial_u(2, 1, 3), 3), (falling_factorial_u(1, 0, 2), 2)]
+        for a, da in ps:
+            assert has_degree(a, da)
+            for b, db in ps:
+                assert has_degree(a * b, da + db)
 
     def test_render(self):
-        assert str(UPoly.zero()) == "0"
+        assert str(UPoly()) == "0"
         assert str(UPoly((ZERO, ONE, Q))) == "(1)*u^1 + (q)*u^2"
 
 
