@@ -530,7 +530,10 @@ def _run_point(ids: list[str], nmax: int, params: Params) -> list[CheckResult]:
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, or 1 where `os` has no
+    `fork`: the one rule for whether work is shared with forked processes."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -626,8 +629,8 @@ def run_all(grid: ParamGrid = DEFAULT_GRID, check_ids: list[str] | None = None) 
     first-seen order) over the grid.
 
     No check reads a verdict from another grid point, so the points run in
-    a process pool of forked workers, one per usable CPU; with one point, one
-    usable CPU or no fork they run in this process.  Forked workers inherit
+    a process pool of forked workers, one per usable CPU; with one point or
+    one usable CPU they run in this process.  Forked workers inherit
     this process's state, filled triangles included, and their results are
     read in grid order, so the report, and the error of the first failing
     point, are the same either way.  A worker that dies, or whose error
@@ -642,10 +645,6 @@ def run_all(grid: ParamGrid = DEFAULT_GRID, check_ids: list[str] | None = None) 
     workers = min(len(points), _usable_cpus())
     if workers > 1:
         import multiprocessing  # here: at the top it would add about 20 ms to every start
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
         import signal
         from concurrent.futures import ProcessPoolExecutor
 

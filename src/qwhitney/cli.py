@@ -92,7 +92,9 @@ def _opened(output: str | None) -> Iterator[TextIO]:
         if to_stdout:
             # Send what is still buffered to the null device, so the flush at
             # exit cannot fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             if isinstance(exc, BrokenPipeError):
                 return
             output = "stdout"
@@ -250,10 +252,10 @@ _TWO_PROCESS_ROWS = 30
 
 def _forks(args: argparse.Namespace, stream: TextIO) -> bool:
     """Whether a table is written by two processes: when it has at least
-    _TWO_PROCESS_ROWS rows, two CPUs are usable, `os.fork` exists and the
-    output has a file descriptor.  At `--q 0` every cell is read before the
-    first byte, so there is no work left to share."""
-    if args.nmax + 1 < _TWO_PROCESS_ROWS or args.q == 0 or not hasattr(os, "fork") or _usable_cpus() < 2:
+    _TWO_PROCESS_ROWS rows, `_usable_cpus` (1 where `os` has no `fork`) is
+    at least 2 and the output has a file descriptor.  At `--q 0` every cell
+    is read before the first byte, so there is no work left to share."""
+    if args.nmax + 1 < _TWO_PROCESS_ROWS or args.q == 0 or _usable_cpus() < 2:
         return False
     try:
         stream.fileno()

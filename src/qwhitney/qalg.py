@@ -6,7 +6,9 @@ tuple (c_v, c_v+1, ..., c_d) of its coefficients up to its degree d,
 trimmed so that the first and last entries are nonzero; zero is the
 empty tuple.  Values are immutable and hashable, and every operation
 returns the canonical form, so equality is equality of the pairs
-(v, coefficients).
+(v, coefficients).  The operands of +, - and * are LaurentPoly values (an
+int raises TypeError): the constant c is LaurentPoly.const(c), and p == c
+for an int c compares p with that constant.
 
 Dense storage needs one slot per exponent between valuation and degree,
 so no value may span more than _MAX_SPAN exponents: building one raises
@@ -258,58 +260,37 @@ class LaurentPoly:
 
     # -- ring operations --------------------------------------------------
 
-    @staticmethod
-    def _coerce(other: "LaurentPoly | int") -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.const(other)
-        return None
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not o._c:
+        if not other._c:
             return self
         if not self._c:
-            return o
-        return LaurentPoly._raw(*_sum(self._v, self._c, o._v, o._c))
-
-    __radd__ = __add__
+            return other
+        return LaurentPoly._raw(*_sum(self._v, self._c, other._v, other._c))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw(self._v, tuple(map(neg, self._c)))
 
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
-    def __rsub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._c, o._c
+        a, b = self._c, other._c
         if not a or not b:
             return ZERO
         if len(a) == 1 or len(b) == 1:
             if len(a) == 1:
                 a, b = b, a
-            v, c = self._v + o._v, b[0]
+            v, c = self._v + other._v, b[0]
             if c == 1:
                 return LaurentPoly._raw(v, a)
             return LaurentPoly._raw(v, tuple([c * x for x in a]))
-        return lp_dot([(self, o)])
-
-    __rmul__ = __mul__
+        return lp_dot([(self, other)])
 
     def mul_bracket(self, b: int) -> "LaurentPoly":
         """The product [b] * self, as a running window sum in O(span + |b|);

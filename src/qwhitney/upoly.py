@@ -43,10 +43,6 @@ class UPoly:
     def __init__(self, coeffs: Iterable[LaurentPoly] = ()):
         self._coeffs = _trim(tuple(coeffs))
 
-    @classmethod
-    def one(cls) -> "UPoly":
-        return cls((ONE,))
-
     def coeff(self, i: int) -> LaurentPoly:
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
@@ -110,9 +106,6 @@ class TruncSeries:
             return NotImplemented
         return self._order == other._order and self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
-
     def __str__(self) -> str:
         parts = [f"({c!s})*u^{i}" for i, c in enumerate(self._coeffs) if c]
         return " + ".join(parts) if parts else "0"
@@ -134,7 +127,7 @@ def falling_factorial_u(m: int, s: int, n: int) -> UPoly:
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     if n == 0:
-        return UPoly.one()
+        return UPoly((ONE,))
     return falling_factorial_u(m, s, n - 1) * bracket_linear(-s - (n - 1) * m)
 
 
@@ -146,7 +139,7 @@ def rising_factorial_u(m: int, s: int, n: int) -> UPoly:
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
     if n == 0:
-        return UPoly.one()
+        return UPoly((ONE,))
     return rising_factorial_u(m, s, n - 1) * bracket_linear(s + (n - 1) * m)
 
 

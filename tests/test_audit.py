@@ -1,6 +1,7 @@
 """Tests for the identity registry, grid runner and report assembly."""
 
 import gc
+import hashlib
 import multiprocessing
 import os
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qwhitney
-from qwhitney.qalg import ONE, Q, SpanTooWideError, q_power
+from qwhitney.qalg import ONE, Q, SpanTooWideError, ZERO, q_power
 from qwhitney.audit import (
     DEFAULT_GRID,
     Counterexample,
@@ -23,8 +24,10 @@ from qwhitney.audit import (
     REGISTRY,
     UnknownCheckIdError,
     _first_mismatch,
+    _usable_cpus,
     run_all,
 )
+from qwhitney.cli import main
 from qwhitney.formulas import Variant
 from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, dowling, get_triangle
 
@@ -127,7 +130,7 @@ class TestFirstMismatch:
     @staticmethod
     def entries(bad):
         # Each entry is q^(10n + k), except at the cells named in bad.
-        return lambda n, k: q_power(10 * n + k) + (ONE if (n, k) in bad else 0)
+        return lambda n, k: q_power(10 * n + k) + (ONE if (n, k) in bad else ZERO)
 
     def test_all_agree(self):
         exact = self.entries(set())
@@ -390,11 +393,28 @@ class TestWorkers:
             with pytest.raises(SpanTooWideError, match="span 17000000 ") as err:
                 run_all(self.FAILING)
             assert multiprocessing.active_children() == []
-            pooled = len(cpus) > 1 and "fork" in multiprocessing.get_all_start_methods()
+            pooled = len(cpus) > 1 and hasattr(os, "fork")
             # A pooled error carries the worker's traceback as its cause.
             cause = err.value.__cause__
             assert (cause is not None and "_run_point" in str(cause)) is pooled
         assert reports[0] == reports[1]
+
+    # sha256 of `qwhitney table --family lah --m 3 --r 3 --nmax 40`, as CI pins it.
+    LAH_40 = "c0f0cb460f2620e64de0af860943add39db75b39528fbbb0627ea1a7eafcf3d2"
+
+    def test_no_fork_runs_in_process(self, monkeypatch, tmp_path):
+        # Where `os` has no `fork`, two usable CPUs count as one: the audit and
+        # a table long enough for two writers run in this process, since any
+        # fork would raise, and give the same bytes.
+        grid = ParamGrid((1,), (0, 1), 6)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        expected = run_all(grid).to_json_str()
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert _usable_cpus() == 1
+        assert run_all(grid).to_json_str() == expected
+        out = tmp_path / "lah.txt"
+        assert main(["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "40", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LAH_40
 
     # A grid long enough that its points are still running when a signal comes.
     LONG = ["audit", "--grid", "nmax=14", "--quiet"]

@@ -248,6 +248,29 @@ class TestTable:
             assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_closed_reader_leaves_no_descriptor_open(self):
+        # Three calls in one interpreter whose stdout is a pipe with its reader
+        # closed: each ends quietly with exit code 0, and the descriptor that
+        # took stdout's place is not left open.
+        code = """
+import os, sys
+from qwhitney.cli import main
+r, w = os.pipe()
+os.dup2(w, 1)
+os.close(r)
+os.close(w)
+before = len(os.listdir("/proc/self/fd"))
+codes = [main(sys.argv[1:]) for _ in range(3)]
+print(codes, before, len(os.listdir("/proc/self/fd")), file=sys.stderr)
+"""
+        argv = ["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "12"]
+        with _python(code, *argv, stderr=subprocess.PIPE) as proc:
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        codes, before, after = stderr.decode().rsplit(" ", 2)
+        assert codes == "[0, 0, 0]" and int(after) == int(before)
+
     # sha256 of `qwhitney table --family lah --m 2 --r -1 --nmax 12 --format FMT`:
     # the polynomials themselves, as text, a JSON term list, CSV and LaTeX.
     DIGESTS = {
