@@ -453,7 +453,7 @@ def _classical_lah(n: int, k: int) -> int:
 
 def _at_one(value: LaurentPoly) -> LaurentPoly:
     """The q -> 1 limit of value, as a constant."""
-    return LaurentPoly.const(int(value.eval_at_one()))
+    return LaurentPoly.const(int(value.eval_at(1)))
 
 
 def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterexample | None:

@@ -1,5 +1,8 @@
 """Command-line surface: triangle tables, row-sum sequences, series
-expansion, and the identity audit."""
+expansion, and the identity audit.
+
+The output of `table`, `dowling` and `expand` is a head, items and a tail
+(a `_Layout`) written by one loop, `_emit`; only `table` uses two processes."""
 
 from __future__ import annotations
 
@@ -101,40 +104,30 @@ def _opened(output: str | None) -> Iterator[TextIO]:
         _error(f"cannot write {output}: {exc.strerror or exc}")
 
 
-def _write(chunks: Iterable[str], output: str | None) -> None:
-    """Write the chunks, one at a time, to stdout or to the named file."""
-    with _opened(output) as stream:
-        stream.writelines(chunks)
-
-
 def _error(message: str) -> NoReturn:
     """Report an error on one stderr line, with no usage text, and exit 2."""
     print(f"qwhitney: error: {message}", file=sys.stderr)
     raise SystemExit(2) from None
 
 
-def _json_ends(args: argparse.Namespace, doc: dict, key: str) -> tuple[str, str]:
-    """The text of `json.dumps(doc + {key: [...]}, indent=1)` before the list
-    and after it, with a newline at the end and `"q"` added last when given."""
+# An output in one format: its head, the chunks of item i, its tail.
+_Layout = tuple[str, Callable[[int], Iterable[str]], str]
+
+
+def _json(args: argparse.Namespace, doc: dict, key: str, item: Callable[[int], str]) -> _Layout:
+    """The bytes of `json.dumps(doc + {key: [item 0, item 1, ...]}, indent=1)`
+    and a newline, with `"q"` added last when given; the list is never empty.
+    `item(i)` is the text of `json.dumps(item i, indent=1)` with two spaces
+    after each newline, as it sits two levels deep."""
     doc = dict(doc, **{key: []})
     if args.q is not None:
         doc["q"] = str(args.q)
     head, _, tail = json.dumps(doc, indent=1).partition(f'"{key}": []')
-    return f'{head}"{key}": ', tail + "\n"
 
+    def framed(i: int) -> list[str]:
+        return [("," if i else "[") + "\n  " + item(i)]
 
-def _json(args: argparse.Namespace, doc: dict, key: str, items: Iterable[str]) -> Iterator[str]:
-    """The bytes of `json.dumps(doc + {key: [*items]}, indent=1)` and a newline,
-    with `"q"` added last when given, yielded one item at a time.  Each item
-    is the text of `json.dumps(item, indent=1)` with two spaces after each
-    newline, as it sits two levels deep."""
-    head, tail = _json_ends(args, doc, key)
-    yield head
-    sep = "["
-    for item in items:
-        yield sep + "\n  " + item
-        sep = ","
-    yield ("[]" if sep == "[" else "\n ]") + tail
+    return f'{head}"{key}": ', framed, "\n ]" + tail + "\n"
 
 
 class _Echo:
@@ -144,41 +137,27 @@ class _Echo:
         return text
 
 
-def _csv_writer():
-    """A CSV writer whose `writerow` returns its line, with quoted text cells."""
-    return csv.writer(_Echo(), quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+def _csv(args: argparse.Namespace, header: list[str], records: Callable[[int], Iterable[tuple]]) -> _Layout:
+    """CSV under `header`: item i is one line per (index, ..., value) record
+    of `records(i)`, the value as a quoted cell."""
+    writer = csv.writer(_Echo(), quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+
+    def lines(i: int) -> Iterator[str]:
+        for *index, value in records(i):
+            yield writer.writerow([*index, _cell(value, args)])
+
+    return writer.writerow(header), lines, ""
 
 
-def _csv(args: argparse.Namespace, header: list[str], records: Iterable[tuple]) -> Iterator[str]:
-    """One CSV line per (index, ..., value) record, the value as a quoted cell."""
-    writer = _csv_writer()
-    yield writer.writerow(header)
-    for *index, value in records:
-        yield writer.writerow([*index, _cell(value, args)])
-
-
-def _tabular(cols: str, rows: Iterable[Iterable[str]]) -> Iterator[str]:
-    """A LaTeX tabular: each row's chunks, then its row end."""
-    yield f"\\begin{{tabular}}{{{cols}}}\n"
-    for row in rows:
-        yield from row
-        yield " \\\\\n"
-    yield "\\end{tabular}\n"
-
-
-# A table in one format: its head, the chunks of row n of values, its tail.
-_Layout = tuple[str, Callable[[int, Sequence[LaurentPoly]], Iterator[str]], str]
-
-
-def _grid(args: argparse.Namespace) -> _Layout:
-    """Rows of values as comma-separated text lines or as the rows of a LaTeX
-    tabular with nmax + 1 columns.  Each cell, separator and delimiter is a
-    chunk of its own, so only one formatted cell is held at once and none is
-    copied."""
+def _grid(args: argparse.Namespace, values: Callable[[int], Sequence[LaurentPoly]]) -> _Layout:
+    """Rows `values(i)` as comma-separated text lines or as the rows of a
+    LaTeX tabular with nmax + 1 columns.  Each cell, separator and delimiter
+    is a chunk of its own, so only one formatted cell is held at once and
+    none is copied."""
     if args.format == "text":
 
-        def line(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
-            for k, v in enumerate(values):
+        def line(i: int) -> Iterator[str]:
+            for k, v in enumerate(values(i)):
                 if k:
                     yield ", "
                 yield _cell(v, args)
@@ -186,37 +165,14 @@ def _grid(args: argparse.Namespace) -> _Layout:
 
         return "", line, ""
 
-    def row(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
-        for k, v in enumerate(values):
+    def row(i: int) -> Iterator[str]:
+        for k, v in enumerate(values(i)):
             yield " & $" if k else "$"
             yield _cell(v, args)
             yield "$"
         yield " \\\\\n"
 
     return f"\\begin{{tabular}}{{{'r' * (args.nmax + 1)}}}\n", row, "\\end{tabular}\n"
-
-
-def _table(args: argparse.Namespace) -> _Layout:
-    """The triangle table in `args.format`, so that any row can be rendered
-    on its own: CSV records (n, k, value), a JSON list of rows, or a grid."""
-    if args.format == "csv":
-        writer = _csv_writer()
-
-        def records(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
-            for k, v in enumerate(values):
-                yield writer.writerow([n, k, _cell(v, args)])
-
-        return writer.writerow(["n", "k", "value"]), records, ""
-    if args.format == "json":
-        doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
-        head, tail = _json_ends(args, doc, "rows")
-
-        def item(n: int, values: Sequence[LaurentPoly]) -> Iterator[str]:
-            cells = ",".join(["\n   " + _json_cell(v, args, "   ") for v in values])
-            yield ("," if n else "[") + "\n  [" + cells + "\n  ]"
-
-        return head, item, "\n ]" + tail
-    return _grid(args)
 
 
 # The messages between a table's two processes are row numbers of _MSG bytes.
@@ -358,23 +314,36 @@ def _writer(stream: TextIO, render: Callable[[int], Iterable[str]], nrows: int, 
         os._exit(code)
 
 
+def _emit(output: str | None, layout: _Layout, count: int, forks: Callable[[TextIO], bool] = lambda stream: False) -> None:
+    """Write `layout`'s head, items 0 to count - 1 and tail to stdout or the
+    named file; the items by `_write_meeting` when `forks(stream)` is true."""
+    head, item, tail = layout
+    with _opened(output) as stream:
+        stream.write(head)
+        if forks(stream):
+            _write_meeting(stream, item, count)
+        else:
+            for i in range(count):
+                stream.writelines(item(i))
+        stream.write(tail)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     tri = get_triangle(args.family, Params(args.m, args.r))
     nrows = args.nmax + 1
     _check_cells(args, chain.from_iterable(map(tri.row, range(nrows))))
-    head, row, tail = _table(args)
+    if args.format == "csv":
+        layout = _csv(args, ["n", "k", "value"], lambda n: ((n, k, v) for k, v in enumerate(tri.row(n))))
+    elif args.format == "json":
+        doc = {"family": args.family.value, "m": args.m, "r": args.r, "nmax": args.nmax}
 
-    def render(n: int) -> Iterator[str]:
-        return row(n, tri.row(n))
+        def row(n: int) -> str:
+            return "[" + ",".join(["\n   " + _json_cell(v, args, "   ") for v in tri.row(n)]) + "\n  ]"
 
-    with _opened(args.output) as stream:
-        stream.write(head)
-        if _forks(args, stream):
-            _write_meeting(stream, render, nrows)
-        else:
-            for n in range(nrows):
-                stream.writelines(render(n))
-        stream.write(tail)
+        layout = _json(args, doc, "rows", row)
+    else:
+        layout = _grid(args, tri.row)
+    _emit(args.output, layout, nrows, lambda stream: _forks(args, stream))
     return 0
 
 
@@ -382,33 +351,39 @@ def cmd_dowling(args: argparse.Namespace) -> int:
     params = Params(args.m, args.r)
     values = [dowling(params, args.form, n) for n in range(args.nmax + 1)]
     _check_cells(args, values)
+    count = len(values)
     if args.format == "csv":
-        chunks = _csv(args, ["n", "value"], enumerate(values))
+        layout = _csv(args, ["n", "value"], lambda n: [(n, values[n])])
     elif args.format == "json":
         doc = {"form": args.form, "m": args.m, "r": args.r, "nmax": args.nmax}
-        chunks = _json(args, doc, "values", (_json_cell(v, args, "  ") for v in values))
+        layout = _json(args, doc, "values", lambda n: _json_cell(values[n], args, "  "))
     else:
-        head, row, tail = _grid(args)
-        chunks = chain([head], row(0, values), [tail])
-    _write(chunks, args.output)
+        layout, count = _grid(args, lambda i: values), 1
+    _emit(args.output, layout, count)
     return 0
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    series = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order)
-    pairs = [(n, series.coeff(n)) for n in range(args.k, args.order + 1)]
-    _check_cells(args, (v for _, v in pairs))
+    values = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order).coeffs()[args.k :]
+    _check_cells(args, values)
     if args.format == "csv":
-        chunks = _csv(args, ["n", "value"], pairs)
+        layout = _csv(args, ["n", "value"], lambda i: [(args.k + i, values[i])])
     elif args.format == "json":
         doc = {"family": "w2", "k": args.k, "m": args.m, "r": args.r, "order": args.order}
-        items = (f'{{\n   "n": {n},\n   "value": {_json_cell(v, args, "   ")}\n  }}' for n, v in pairs)
-        chunks = _json(args, doc, "coefficients", items)
+
+        def coefficient(i: int) -> str:
+            return f'{{\n   "n": {args.k + i},\n   "value": {_json_cell(values[i], args, "   ")}\n  }}'
+
+        layout = _json(args, doc, "coefficients", coefficient)
     elif args.format == "text":
-        chunks = (f"({n}, {_cell(v, args)})\n" for n, v in pairs)
+        layout = "", lambda i: [f"({args.k + i}, {_cell(values[i], args)})\n"], ""
     else:
-        chunks = _tabular("rl", ([f"{n} & ${_cell(v, args)}$"] for n, v in pairs))
-    _write(chunks, args.output)
+
+        def row(i: int) -> list[str]:
+            return [f"{args.k + i} & ${_cell(values[i], args)}$ \\\\\n"]
+
+        layout = "\\begin{tabular}{rl}\n", row, "\\end{tabular}\n"
+    _emit(args.output, layout, len(values))
     return 0
 
 
@@ -470,9 +445,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
             raise
         _error(f"an audit worker process died: {exc}")
     if not args.quiet:
-        _write([report.render_table()], args.output)
+        with _opened(args.output) as stream:
+            stream.write(report.render_table())
     if args.json is not None:
-        _write([report.to_json_str()], args.json)
+        with _opened(args.json) as stream:
+            stream.write(report.to_json_str())
     return 0 if report.clean else 1
 
 
@@ -565,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
         for check_id in args.check or ():
             if check_id not in REGISTRY:
                 _error(f"unknown check id {check_id!r}")
+        outputs = [None if path in (None, "-") else os.path.realpath(path) for path in (args.output, args.json)]
+        if not args.quiet and args.json is not None and outputs[0] == outputs[1]:
+            _error("the text table and the --json report would share one output; add --quiet or name two")
     # Parsed values stay under the limit on the digits of an int <-> str
     # conversion; a value at --q, such as lah row 30 at q = 1000, may be
     # longer.  The limit is lifted for the command and then restored.

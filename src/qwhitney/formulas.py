@@ -19,6 +19,7 @@ from .qalg import (
     LaurentPoly,
     ONE,
     ZERO,
+    lp_add_bracket,
     lp_div_bracket,
     lp_dot,
     q_binomial_base,
@@ -99,7 +100,7 @@ def _vertical(c: Callable[[int], int], m: int, entry: Entry, n: int, k: int) -> 
     for j in range(n, k - 1, -1):
         terms.append((q_power(m * k + c(j + 1)) * shed, entry(j, k)))
         if j > k:
-            shed = shed.mul_bracket(m * (k + 1) + c(j + 1))
+            shed = lp_add_bracket(ZERO, shed, m * (k + 1) + c(j + 1))
     return lp_dot(terms)
 
 
@@ -121,7 +122,7 @@ def _horizontal(c: int, m: int, entry: Entry, n: int, k: int) -> LaurentPoly:
     for j in range(n - k + 1):
         weight = q_power(-c - m * (k + j)) * ratio
         terms.append((-weight if j % 2 else weight, entry(n + 1, k + j + 1)))
-        ratio = weight.mul_bracket(m * (k + j + 1) + c)
+        ratio = lp_add_bracket(ZERO, weight, m * (k + j + 1) + c)
     return lp_dot(terms)
 
 
@@ -157,7 +158,7 @@ def lah_vertical(variant: Variant, params: Params, n: int, k: int) -> LaurentPol
         return _vertical(lambda i: 2 * r + (i - 1) * m, m, lah, n, k)
     prod = ONE
     for i in range(k + 1):
-        prod = prod.mul_bracket(2 * r + (k + 1) * m + (n - i) * m)
+        prod = lp_add_bracket(ZERO, prod, 2 * r + (k + 1) * m + (n - i) * m)
     return lp_dot((q_power(2 * r + m * k + m * (n - j)) * prod, lah(j, k)) for j in range(k, n + 1))
 
 

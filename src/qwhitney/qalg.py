@@ -292,11 +292,6 @@ class LaurentPoly:
             return LaurentPoly._raw(v, tuple([c * x for x in a]))
         return lp_dot([(self, other)])
 
-    def mul_bracket(self, b: int) -> "LaurentPoly":
-        """The product [b] * self, as a running window sum in O(span + |b|);
-        the case p = 0 of `lp_add_bracket`."""
-        return lp_add_bracket(ZERO, self, b)
-
     # -- evaluation -------------------------------------------------------
 
     def eval_at(self, at: Fraction | int) -> Fraction:
@@ -319,10 +314,6 @@ class LaurentPoly:
         if v >= 0:
             return Fraction(num * p**v, dk * d**v)
         return Fraction(num * d**-v, dk * p**-v)
-
-    def eval_at_one(self) -> Fraction:
-        """The q -> 1 specialization, i.e. the sum of all coefficients."""
-        return Fraction(sum(self._c))
 
     # -- equality, hashing, rendering --------------------------------------
 

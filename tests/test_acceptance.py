@@ -206,18 +206,18 @@ def test_c7_q_to_one_oracles():
                     want = 0
                 else:
                     want = math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
-                assert lah10(n, k).eval_at_one() == want, ("lah", n, k)
+                assert lah10(n, k).eval_at(1) == want, ("lah", n, k)
         bells = _bell_oracle(10)
         for n in range(11):
-            assert dowling(p10, 1, n).eval_at_one() == bells[n], ("bell", n)
+            assert dowling(p10, 1, n).eval_at(1) == bells[n], ("bell", n)
         for p in GRID:
             lah = get_triangle(FamilyId.LAH, p).value
             for n in range(1, 11):
                 for k in range(n + 1):
-                    got = lah(n, k).eval_at_one()
-                    want = lah(n - 1, k - 1).eval_at_one() + (
+                    got = lah(n, k).eval_at(1)
+                    want = lah(n - 1, k - 1).eval_at(1) + (
                         2 * p.r + k * p.m + (n - 1) * p.m
-                    ) * lah(n - 1, k).eval_at_one()
+                    ) * lah(n - 1, k).eval_at(1)
                     assert got == want, ("cheon-jung", p, n, k)
 
     _report("7 q-to-one-oracles", body)

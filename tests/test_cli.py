@@ -477,6 +477,31 @@ cli._writer = _writer
         assert proc.returncode == 0 and _left(proc) == []
         assert stderr == b""
 
+    # sha256 of the text each writes, as CI pins it.
+    ONE_PROCESS = {
+        "dowling": "410da3d75cca4093d8ea76a236fdc4bf1da6a0c2bc41b2902acd53578a75244a",
+        "expand": "191cf19f59991373fc9d6d894121d848d2a3758b4ea5a5a26c896ce762f610e2",
+    }
+
+    def test_dowling_and_expand_write_in_one_process(self, tmp_path):
+        # Two usable CPUs and a fork that raises: a table forks and fails,
+        # while long dowling and expand outputs are written by this process.
+        no_fork = "def fork():\n    raise RuntimeError('fork')\nos.fork = fork\n"
+        argvs = {
+            "table": LAH_24,
+            "dowling": ["dowling", "--form", "1", "--m", "3", "--r", "3", "--nmax", "40"],
+            "expand": ["expand", "--k", "3", "--m", "3", "--r", "3", "--order", "60"],
+        }
+        for command, argv in argvs.items():
+            out = tmp_path / command
+            with _python(TWO_CPUS + no_fork + CLI, *argv, "-o", str(out), stderr=subprocess.PIPE) as proc:
+                _, stderr = proc.communicate(timeout=120)
+            if command == "table":
+                assert proc.returncode != 0 and b"RuntimeError: fork" in stderr
+            else:
+                assert (proc.returncode, stderr) == (0, b"")
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ONE_PROCESS[command]
+
     def test_interrupt_stops_both_processes(self, tmp_path):
         # The writer never renders a row, so the parent waits for it until
         # Ctrl-C reaches both.
@@ -710,6 +735,33 @@ class TestAudit:
         code = "import sys, qwhitney.cli; sys.exit(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))"
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--json", "-"],
+            ["-o", "-", "--json", "-"],
+            ["-o", "r.txt", "--json", "r.txt"],
+            ["-o", "r.txt", "--json", "sub/../r.txt"],
+        ],
+        ids=["stdout", "dash", "file", "file-spelled-twice"],
+    )
+    def test_table_and_json_to_one_output_refused(self, outputs, tmp_path, monkeypatch, capsys):
+        # Written one after the other, the report overwrote the table in a
+        # file and followed it on stdout, where neither could be parsed.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.setattr(cli, "run_all", lambda *args: pytest.fail("the audit ran"))
+        assert run_cli(["audit", "--grid", "m=1 r=0 nmax=2", *outputs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "r.txt").exists()
+        assert err == "qwhitney: error: the text table and the --json report would share one output; add --quiet or name two\n"
+
+    def test_table_and_json_to_two_files(self, tmp_path):
+        table, report = tmp_path / "t.txt", tmp_path / "r.json"
+        assert run_cli(["audit", "--grid", "m=1 r=0 nmax=2", "-o", str(table), "--json", str(report)]) == 0
+        assert "verdict: clean" in table.read_text()
+        assert json.loads(report.read_text())["grid"] == {"m": [1], "r": [0], "nmax": 2}
+
     def test_unwritable_json_exits_two(self, tmp_path, capsys):
         # Exit 1 means a genuine audit failure, so a write error must not use it.
         target = tmp_path / "missing" / "report.json"
@@ -815,6 +867,8 @@ def test_json_cell_matches_the_term_list(terms, pad):
         ["dowling", "--form", "1", "--m", "1", "--r", "0", "--nmax", "3", "--q", "2"],
         ["expand", "--k", "2", "--m", "1", "--r", "-2", "--order", "6"],
         ["expand", "--k", "1", "--m", "2", "--r", "1", "--order", "4", "--q", "3/2"],
+        ["dowling", "--form", "1", "--m", "1", "--r", "0", "--nmax", "0"],
+        ["expand", "--k", "2", "--m", "1", "--r", "0", "--order", "2"],
     ],
     ids=lambda args: " ".join(args),
 )

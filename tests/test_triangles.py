@@ -83,7 +83,7 @@ class TestWhitney2:
         w2 = get_triangle(FamilyId.W2, P10).value
         for n in range(9):
             for k in range(n + 1):
-                assert w2(n, k).eval_at_one() == rows[n][k]
+                assert w2(n, k).eval_at(1) == rows[n][k]
 
     def test_horizontal_gf(self):
         for p in SMALL_GRID:
@@ -221,17 +221,17 @@ class TestLah:
         for n in range(1, 9):
             for k in range(1, n + 1):
                 want = math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
-                assert lah(n, k).eval_at_one() == want
+                assert lah(n, k).eval_at(1) == want
 
     def test_q_to_one_cheon_jung_recurrence(self):
         for p in SMALL_GRID:
             lah = get_triangle(FamilyId.LAH, p).value
             for n in range(1, 9):
                 for k in range(n + 1):
-                    got = lah(n, k).eval_at_one()
-                    want = lah(n - 1, k - 1).eval_at_one() + (
+                    got = lah(n, k).eval_at(1)
+                    want = lah(n - 1, k - 1).eval_at(1) + (
                         2 * p.r + k * p.m + (n - 1) * p.m
-                    ) * lah(n - 1, k).eval_at_one()
+                    ) * lah(n - 1, k).eval_at(1)
                     assert got == want
 
 
@@ -320,7 +320,7 @@ class TestRowSums:
     def test_dowling_bell_limit(self):
         bells = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
         for n, b in enumerate(bells):
-            assert dowling(P10, 1, n).eval_at_one() == b
+            assert dowling(P10, 1, n).eval_at(1) == b
 
     def test_dowling_rejects_bad_form(self):
         with pytest.raises(ValueError):
