@@ -208,7 +208,8 @@ def _check_w_recurrence_sign(variant: Variant, p: Params, nmax: int) -> Countere
     def stepped(n: int, k: int) -> LaurentPoly:
         return q_power(m * (k - 1) + r) * w2(n - 1, k - 1) + q_bracket(m * k + r) * w2(n - 1, k)
 
-    got = get_triangle(FamilyId.W2_VERBATIM, p).value if variant is Variant.VERBATIM else stepped
+    # The commonly printed weights are these with r -> -r: the triangle at -r.
+    got = get_triangle(FamilyId.W2, Params(m, -r)).value if variant is Variant.VERBATIM else stepped
     # Row 0 is the seed 1 of both triangles, which no recurrence step produces.
     return _first_mismatch(_triangle(range(1, nmax + 1)), (got, w2))
 
@@ -421,18 +422,6 @@ def _check_w1_table(variant: Variant, p: Params, nmax: int) -> Counterexample | 
 # -- integer oracles for the q -> 1 limits ---------------------------------
 
 
-def _bell_numbers(top: int) -> list[int]:
-    bells = [1]
-    row = [1]
-    for _ in range(top):
-        new = [row[-1]]
-        for v in row:
-            new.append(new[-1] + v)
-        row = new
-        bells.append(row[0])
-    return bells
-
-
 def _integer_rows(weight: Callable[[int, int], int], top: int) -> list[list[int]]:
     """Rows 0..top of T[n,k] = T[n-1,k-1] + weight(n, k) T[n-1,k] from T[0,0] = 1,
     in plain integers, so independent of the Laurent kernel."""
@@ -465,8 +454,8 @@ def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterex
         (lambda n, k: _at_one(lah(n, k)), lambda n, k: LaurentPoly.const(cheon_jung[n][k]))
     ]
     if m == 1 and r == 0:
-        bells = _bell_numbers(top)
         stirling = _integer_rows(lambda n, k: k, top)
+        bells = [sum(row) for row in stirling]  # B_n = sum_k S(n, k)
         w2 = get_triangle(FamilyId.W2, p).value
         # The Bell number of row n is compared once, at its column-zero cell.
         pairs = [

@@ -77,13 +77,26 @@ def _check_cells(args: argparse.Namespace, values: Iterable[LaurentPoly]) -> Non
             value.eval_at(0)
 
 
+def _identity(output: str | None) -> tuple:
+    """What `output` writes to, for telling two outputs apart: the
+    (st_dev, st_ino) of stdout for `-` or no path and of the file a path
+    names, or the resolved path of a file not yet made."""
+    to_stdout = output in (None, "-")
+    try:
+        st = os.fstat(1) if to_stdout else os.stat(output)
+    except OSError:
+        return ("-",) if to_stdout else (os.path.realpath(output),)
+    return st.st_dev, st.st_ino
+
+
 @contextmanager
 def _opened(output: str | None) -> Iterator[TextIO]:
-    """Stdout or the named file, to write to in the `with` body.  An output
-    that cannot be opened or written is reported on one line with exit code
-    2; only a reader that closed stdout early, as `| head` does, ends the
-    output quietly with the command's own exit code."""
-    to_stdout = output is None or output == "-"
+    """Stdout, for `-`, no path or a path that is stdout, such as
+    /dev/stdout, else the named file, to write to in the `with` body.  An
+    output that cannot be opened or written is reported on one line with
+    exit code 2; only a reader that closed stdout early, as `| head` does,
+    ends the output quietly with the command's own exit code."""
+    to_stdout = _identity(output) == _identity(None)
     try:
         if to_stdout:
             yield sys.stdout
@@ -100,7 +113,7 @@ def _opened(output: str | None) -> Iterator[TextIO]:
             os.close(null)
             if isinstance(exc, BrokenPipeError):
                 return
-            output = "stdout"
+            output = "stdout" if output in (None, "-") else output
         _error(f"cannot write {output}: {exc.strerror or exc}")
 
 
@@ -542,8 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         for check_id in args.check or ():
             if check_id not in REGISTRY:
                 _error(f"unknown check id {check_id!r}")
-        outputs = [None if path in (None, "-") else os.path.realpath(path) for path in (args.output, args.json)]
-        if not args.quiet and args.json is not None and outputs[0] == outputs[1]:
+        if not args.quiet and args.json is not None and _identity(args.output) == _identity(args.json):
             _error("the text table and the --json report would share one output; add --quiet or name two")
     # Parsed values stay under the limit on the digits of an int <-> str
     # conversion; a value at --q, such as lah row 30 at q = 1000, may be

@@ -209,7 +209,7 @@ def _lah_outer(variant: Variant, params: Params) -> Entry:
     triangle at -r (verbatim) or the inverse of the rising first-kind
     triangle (corrected)."""
     if variant is Variant.VERBATIM:
-        return get_triangle(FamilyId.W2_VERBATIM, params).value
+        return get_triangle(FamilyId.W2, Params(params.m, -params.r)).value
     return get_triangle(FamilyId.W1_RISING, params).inverse.value
 
 

@@ -1,12 +1,11 @@
 """Memoized number-triangle families driven by one two-term recurrence.
 
-Seven related families are produced over a common parameter pair (m, r):
-three forms of the second-kind triangle plus a sign-variant of its
-recurrence, two first-kind triangles (falling and rising basis), and the
-Lah-type triangle.  Six of them differ only in their row of the weight
-table `_WEIGHTS`; the sign-variant is the second kind at -r, the same
-triangle object.  Entries are exact Laurent polynomials; each triangle is
-filled row-major on demand and entries are never recomputed.
+Six related families are produced over a common parameter pair (m, r):
+three forms of the second-kind triangle, two first-kind triangles (falling
+and rising basis), and the Lah-type triangle.  They differ only in their
+row of the weight table `_WEIGHTS`.  Entries are exact Laurent
+polynomials; each triangle is filled row-major on demand and entries are
+never recomputed.
 
 Every entry is read through the shared triangle: bind
 `get_triangle(family, params).value` once, then call it with (n, k); an
@@ -55,7 +54,6 @@ class FamilyId(Enum):
     """The closed set of triangle families, keyed by their stable CLI names."""
 
     W2 = "w2"
-    W2_VERBATIM = "w2-verbatim"
     W2_FORM2 = "w2-star"
     W2_FORM3 = "w2-tilde"
     W1_FALLING = "w1"
@@ -86,7 +84,7 @@ class Triangle:
     @cached_property
     def inverse(self) -> InverseMatrix:
         """The forward-substitution inverse, kept on the triangle, so every
-        name of this triangle shares it."""
+        reader of this triangle shares it."""
         return InverseMatrix(self)
 
     def _ensure(self, n: int) -> None:
@@ -129,13 +127,7 @@ _TRIANGLES: dict[tuple[FamilyId, int, int], Triangle] = {}
 
 
 def get_triangle(family: FamilyId, params: Params) -> Triangle:
-    """The process-wide shared triangle for (family, params).
-
-    The sign-variant's weights are the second kind's with r -> -r, so it is
-    served by the second-kind triangle at -r.
-    """
-    if family is FamilyId.W2_VERBATIM:
-        family, params = FamilyId.W2, Params(params.m, -params.r)
+    """The process-wide shared triangle for (family, params)."""
     key = (family, params.m, params.r)
     tri = _TRIANGLES.get(key)
     if tri is None:

@@ -227,7 +227,7 @@ def test_c8_erratum_findings(tmp_path):
     def body():
         p10, p11 = Params(1, 0), Params(1, 1)
         # Second-kind recurrence sign: entry (1, 1) at (m, r) = (1, 1).
-        assert get_triangle(FamilyId.W2_VERBATIM, p11).value(1, 1) == q_power(-1)
+        assert get_triangle(FamilyId.W2, Params(1, -1)).value(1, 1) == q_power(-1)
         assert get_triangle(FamilyId.W2, p11).value(1, 1) == q_power(1)
         # Composition identity as stated: (n, j) = (2, 2) at (m, r) = (1, 0).
         assert lah_via_composition(Variant.VERBATIM, p10, 2, 2) == ONE

@@ -196,6 +196,11 @@ class TestTable:
     def test_bad_family(self):
         assert run_cli(["table", "--family", "nope", "--m", "1", "--r", "0", "--nmax", "1"]) == 2
 
+    def test_sign_variant_family_removed(self, capsys):
+        # The printed sign variant is `--family w2` at -r; it has no name of its own.
+        assert run_cli(["table", "--family", "w2-verbatim", "--m", "1", "--r", "0", "--nmax", "2"]) == 2
+        assert "unknown family 'w2-verbatim'" in capsys.readouterr().err
+
     def test_bad_m(self):
         assert run_cli(["table", "--family", "w2", "--m", "0", "--r", "0", "--nmax", "1"]) == 2
 
@@ -756,6 +761,38 @@ class TestAudit:
         assert out == "" and not (tmp_path / "r.txt").exists()
         assert err == "qwhitney: error: the text table and the --json report would share one output; add --quiet or name two\n"
 
+    @pytest.mark.parametrize(
+        "outputs, stdout",
+        [
+            (["-o", "/dev/stdout", "--json", "-"], "out.txt"),
+            (["--json", "/dev/stdout"], "out.txt"),
+            (["-o", "a.txt", "--json", "b.txt"], "out.txt"),
+            (["--json", os.devnull], os.devnull),
+        ],
+        ids=["dev-stdout-and-dash", "dev-stdout-json", "hard-links", "devnull-twice"],
+    )
+    def test_one_output_by_two_names_refused(self, outputs, stdout, tmp_path):
+        # In a new interpreter, so that stdout is a real descriptor; a.txt and
+        # b.txt are two links to one file.  The audit must not start.
+        (tmp_path / "a.txt").touch()
+        os.link(tmp_path / "a.txt", tmp_path / "b.txt")
+        code = "import sys\nfrom qwhitney import cli\ncli.run_all = lambda *args: sys.exit('the audit ran')\nsys.exit(cli.main())\n"
+        with open(tmp_path / stdout, "w") as out:
+            argv = ["audit", "--grid", "m=1 r=0 nmax=2", *outputs]
+            with _python(code, *argv, stdout=out, stderr=subprocess.PIPE, cwd=tmp_path) as proc:
+                _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert stderr == b"qwhitney: error: the text table and the --json report would share one output; add --quiet or name two\n"
+        assert (tmp_path / "a.txt").read_text() == "" and not (tmp_path / stdout).read_text()
+
+    def test_quiet_report_to_dev_stdout(self, tmp_path):
+        with open(tmp_path / "out.txt", "w") as out:
+            argv = ["audit", "--grid", "m=1 r=0 nmax=2", "--quiet", "--json", "/dev/stdout"]
+            with _python(CLI, *argv, stdout=out, stderr=subprocess.PIPE) as proc:
+                _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and stderr == b""
+        assert json.loads((tmp_path / "out.txt").read_text())["grid"] == {"m": [1], "r": [0], "nmax": 2}
+
     def test_table_and_json_to_two_files(self, tmp_path):
         table, report = tmp_path / "t.txt", tmp_path / "r.json"
         assert run_cli(["audit", "--grid", "m=1 r=0 nmax=2", "-o", str(table), "--json", str(report)]) == 0
@@ -769,6 +806,26 @@ class TestAudit:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot write" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stdout", ["-", "/dev/stdout"])
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["audit", "--grid", "nmax=2", "--quiet", "--json"], b'{\n "grid":'),
+        (["table", "--family", "lah", "--m", "3", "--r", "3", "--nmax", "12", "-o"], b"1\n1 + q + "),
+    ],
+    ids=["audit", "table"],
+)
+def test_reader_closing_stdout_early(argv, start, stdout):
+    # `qwhitney ... | head -c 10`, with stdout spelled `-` or /dev/stdout:
+    # 87 kB of report or 170 kB of table, more than a pipe holds.
+    with subprocess.Popen(["head", "-c", "10"], stdin=subprocess.PIPE, stdout=subprocess.PIPE) as head:
+        with _python(CLI, *argv, stdout, stdout=head.stdin, stderr=subprocess.PIPE) as proc:
+            head.stdin.close()
+            _, stderr = proc.communicate(timeout=120)
+        assert head.stdout.read() == start
+    assert proc.returncode == 0 and stderr == b""
 
 
 class TestErrors:

@@ -8,7 +8,9 @@ import random
 
 import pytest
 
+from qwhitney.audit import _check_w_recurrence_sign
 from qwhitney.cli import main
+from qwhitney.formulas import Variant, _lah_outer
 from qwhitney.qalg import LaurentPoly, ONE, Q, ZERO, q_bracket, q_power
 from qwhitney.triangles import (
     FamilyId,
@@ -94,27 +96,26 @@ class TestWhitney2:
 
 
 class TestWhitney2Verbatim:
+    """The commonly printed second-kind recurrence has -r where the derived
+    one has r, so its triangle is the second kind at -r: C03 (verbatim)
+    reads it, and so do C15 and C16 (verbatim) through `_lah_outer`."""
+
     def test_agrees_at_r_zero(self):
         for m in (1, 2, 3):
             p = Params(m, 0)
-            verbatim = get_triangle(FamilyId.W2_VERBATIM, p).value
+            assert _check_w_recurrence_sign(Variant.VERBATIM, p, 8) is None
+            verbatim = _lah_outer(Variant.VERBATIM, p)
             w2 = get_triangle(FamilyId.W2, p).value
             for n in range(9):
                 for k in range(n + 1):
                     assert verbatim(n, k) == w2(n, k)
 
     def test_examples_at_r_one(self):
-        verbatim = get_triangle(FamilyId.W2_VERBATIM, P11).value
+        verbatim = get_triangle(FamilyId.W2, Params(1, -1)).value
         assert verbatim(1, 1) == q_power(-1)
         assert verbatim(1, 0) == q_bracket(-1)
         assert verbatim(1, 1) != get_triangle(FamilyId.W2, P11).value(1, 1)
-
-    def test_is_the_second_kind_triangle_at_minus_r(self):
-        assert FamilyId.W2_VERBATIM not in _WEIGHTS
-        for p in SMALL_GRID:
-            flipped = Params(p.m, -p.r)
-            assert get_triangle(FamilyId.W2_VERBATIM, p) is get_triangle(FamilyId.W2, flipped)
-            assert get_triangle(FamilyId.W2_VERBATIM, p).inverse is get_triangle(FamilyId.W2, flipped).inverse
+        assert _lah_outer(Variant.VERBATIM, P11)(1, 1) == q_power(-1)
 
 
 class TestScaledForms:
@@ -240,6 +241,9 @@ class TestFillStep:
     here it is recomputed from the previous row with q_bracket(b) through the
     packed multiply."""
 
+    def test_every_family_is_one_weight_row(self):
+        assert set(FamilyId) == set(_WEIGHTS)
+
     @pytest.mark.parametrize("family", list(_WEIGHTS))
     def test_matches_products_of_the_previous_row(self, family):
         weights = _WEIGHTS[family]
@@ -272,7 +276,6 @@ class TestFillStep:
 
         weights = {
             "w2": lambda m, r, n, k: (m * (k - 1) + r, m * k + r),
-            "w2-verbatim": lambda m, r, n, k: (m * (k - 1) - r, m * k - r),
             "w2-star": lambda m, r, n, k: (0, m * k + r),
             "w2-tilde": lambda m, r, n, k: (r, m * k + r),
             # [t - c] = x^-c [t] + [-c] and [t + c] = x^c [t] + [c], c = r + (n-1)m.
@@ -398,9 +401,6 @@ TABLE_DIGESTS = {
     ("w2", 1, 0): "47e0f8103269aa444d8c80b99a76c3fa889ab400a478586554c974ba2932b322",
     ("w2", 2, -3): "ceaf18f8f7c3eb1bba753b1487ed1dac516a515aeb7c59c17d9d71ba1ee2b8e1",
     ("w2", 3, 3): "d019efec61cf3a5a9672f59f686bd0b992c0d6c9320a3b99fc62ec7ac4c6c9e8",
-    ("w2-verbatim", 1, 0): "88af6d3b9ac319890fa9b01e28aaab3c351531518136d780c5822cf6c1ee158a",
-    ("w2-verbatim", 2, -3): "f73fe32e6f01d44b10a29eb2ed8914d6805e0a9da9bf803157b6d018e36818b3",
-    ("w2-verbatim", 3, 3): "f5a669d6c3a811f25222e6f984adb5701594b6c79580e9fe2c4bbb4f8006b4d0",
     ("w2-star", 1, 0): "396fb0f08aab2e1647740c2727b73256f6a806a1b7efa8d1aa9eaa6ace2c93f1",
     ("w2-star", 2, -3): "57f1ce821bbfbcf315cc6f331af5c901fc77e1f6e3b4ae0054abf83f157f88ae",
     ("w2-star", 3, 3): "61132568a904237616326728ac5295496324da9ab38ae1a2563faab4122f305d",
@@ -425,3 +425,20 @@ def test_table_bytes_unchanged(family, m, r, capsys):
     assert main(args) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == TABLE_DIGESTS[family, m, r]
+
+
+# sha256 of `qwhitney table --family w2-verbatim --m M --r R --nmax 12`, the
+# text tables of the printed sign variant as that family name wrote them
+# before it was removed; `--family w2` at -r writes the same bytes.
+VERBATIM_TEXT_DIGESTS = {
+    (1, 0): "2157ae358f7a22a4237103433b28d1e1da6110833a795884f923043b357407fb",
+    (2, -3): "3d6bd759b4583e132a4b0d712d43fd9a5ddb833a08713cca5a1384e18a1f4883",
+    (3, 3): "53f58f93bd66c4c2eea8d417e7f5153760cc0d4e9ec93391eaaab28c2538fcf5",
+}
+
+
+@pytest.mark.parametrize("m, r", sorted(VERBATIM_TEXT_DIGESTS))
+def test_sign_variant_table_is_w2_at_minus_r(m, r, capsys):
+    assert main(["table", "--family", "w2", "--m", str(m), "--r", str(-r), "--nmax", "12"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERBATIM_TEXT_DIGESTS[m, r]
