@@ -3,7 +3,7 @@
 Everything is computed in exact arithmetic: triangle entries are Laurent
 polynomials in q over arbitrary-precision integers, generating-function
 identities are finite polynomial equalities in the formal variable
-u (the bracket of t), and the audit subpackage re-derives every entry
+u (the bracket of t), and the audit module re-derives every entry
 along independent routes and reports exact matches or counterexamples.
 """
 

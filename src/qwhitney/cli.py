@@ -7,7 +7,6 @@ The output of `table`, `dowling` and `expand` is a head, items and a tail
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -143,23 +142,17 @@ def _json(args: argparse.Namespace, doc: dict, key: str, item: Callable[[int], s
     return f'{head}"{key}": ', framed, "\n ]" + tail + "\n"
 
 
-class _Echo:
-    """A file whose write returns the text, so `csv.writer.writerow` returns its line."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
 def _csv(args: argparse.Namespace, header: list[str], records: Callable[[int], Iterable[tuple]]) -> _Layout:
-    """CSV under `header`: item i is one line per (index, ..., value) record
-    of `records(i)`, the value as a quoted cell."""
-    writer = csv.writer(_Echo(), quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    """CSV under the quoted `header`: item i is one line per (index, ...,
+    value) record of `records(i)`, the bare indices and then the value as a
+    quoted cell.  No cell holds a quote, comma or line break, so none needs
+    escaping."""
 
     def lines(i: int) -> Iterator[str]:
         for *index, value in records(i):
-            yield writer.writerow([*index, _cell(value, args)])
+            yield f'{",".join(map(str, index))},"{_cell(value, args)}"\n'
 
-    return writer.writerow(header), lines, ""
+    return ",".join(f'"{name}"' for name in header) + "\n", lines, ""
 
 
 def _grid(args: argparse.Namespace, values: Callable[[int], Sequence[LaurentPoly]]) -> _Layout:

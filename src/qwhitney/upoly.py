@@ -5,9 +5,12 @@ u stands for the bracket of the indeterminate t, so a product such as
 live in the Laurent ring of `qalg`; all arithmetic is exact, and series
 arithmetic is exact modulo u^(order+1).
 
-Either type offers only what the program uses: construction, `coeff`,
-the product and equality.  The module builds the bracket products
-`falling_factorial_u` and `rising_factorial_u` and inverts series.
+One type, `UPoly`, holds both: an exact polynomial when its order is
+None, a series known mod u^(order+1) otherwise.  `TruncSeries` is its
+order-first series constructor.  The type offers only what the program
+uses: construction, `coeff`, `coeffs`, the product and equality.  The
+module builds the bracket products `falling_factorial_u` and
+`rising_factorial_u` and inverts series.
 """
 
 from __future__ import annotations
@@ -22,13 +25,6 @@ class NonUnitConstantTermError(ArithmeticError):
     """Series inversion requires a +-q^e constant term."""
 
 
-def _trim(coeffs: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
-    d = len(coeffs)
-    while d and not coeffs[d - 1]:
-        d -= 1
-    return coeffs[:d]
-
-
 def _product_coeff(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], n: int) -> LaurentPoly:
     """Coefficient n of the product of u-coefficient sequences a and b, by one
     `lp_dot` (which skips zero operands)."""
@@ -36,73 +32,49 @@ def _product_coeff(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], n: int) -
 
 
 class UPoly:
-    """A polynomial in u with LaurentPoly coefficients, trailing zeros trimmed."""
+    """A polynomial in u with LaurentPoly coefficients, trailing zeros
+    trimmed, or, given an order, a series known mod u^(order+1) that keeps
+    its coefficients 0..order, zeros included.  Values are immutable: the
+    memoised factorials share them."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_order")
 
-    def __init__(self, coeffs: Iterable[LaurentPoly] = ()):
-        self._coeffs = _trim(tuple(coeffs))
-
-    def coeff(self, i: int) -> LaurentPoly:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return ZERO
-
-    def __mul__(self, other: "UPoly") -> "UPoly":
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        return UPoly([_product_coeff(a, b, n) for n in range(len(a) + len(b) - 1)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = [f"({c!s})*u^{i}" for i, c in enumerate(self._coeffs) if c]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"UPoly({self!s})"
-
-
-class TruncSeries:
-    """A power series in u truncated at a fixed order (exact mod u^(order+1))."""
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[LaurentPoly] = ()):
-        if order < 0:
+    def __init__(self, coeffs: Iterable[LaurentPoly] = (), order: int | None = None):
+        cs = tuple(coeffs)
+        if order is None:
+            d = len(cs)
+            while d and not cs[d - 1]:
+                d -= 1
+            cs = cs[:d]
+        elif order < 0:
             raise ValueError("series order must be >= 0")
-        cs = list(coeffs)[: order + 1]
-        cs += [ZERO] * (order + 1 - len(cs))
+        else:
+            cs = cs[: order + 1] + (ZERO,) * (order + 1 - len(cs))
+        self._coeffs = cs
         self._order = order
-        self._coeffs = tuple(cs)
 
     @property
-    def order(self) -> int:
+    def order(self) -> int | None:
         return self._order
 
     def coeff(self, i: int) -> LaurentPoly:
-        if 0 <= i <= self._order:
-            return self._coeffs[i]
-        return ZERO
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else ZERO
 
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         return self._coeffs
 
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
+    def __mul__(self, other: "UPoly") -> "UPoly":
+        """The product, known to the smaller finite order of the factors, or
+        exact when neither has one."""
+        if not isinstance(other, UPoly):
             return NotImplemented
-        order = min(self._order, other._order)
+        order = min((o for o in (self._order, other._order) if o is not None), default=None)
         a, b = self._coeffs, other._coeffs
-        return TruncSeries(order, [_product_coeff(a, b, n) for n in range(order + 1)])
+        length = len(a) + len(b) - 1 if order is None else order + 1
+        return UPoly([_product_coeff(a, b, n) for n in range(length)], order)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncSeries):
+        if not isinstance(other, UPoly):
             return NotImplemented
         return self._order == other._order and self._coeffs == other._coeffs
 
@@ -111,7 +83,16 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
-        return f"TruncSeries(order={self._order}, {self!s})"
+        return f"UPoly({self!s})" if self._order is None else f"TruncSeries(order={self._order}, {self!s})"
+
+
+class TruncSeries(UPoly):
+    """A series known mod u^(order+1): `UPoly(coeffs, order)`, order first."""
+
+    __slots__ = ()
+
+    def __init__(self, order: int, coeffs: Iterable[LaurentPoly] = ()):
+        super().__init__(coeffs, order)
 
 
 def bracket_linear(c: int) -> UPoly:
@@ -143,8 +124,10 @@ def rising_factorial_u(m: int, s: int, n: int) -> UPoly:
     return rising_factorial_u(m, s, n - 1) * bracket_linear(s + (n - 1) * m)
 
 
-def useries_inverse(s: TruncSeries) -> TruncSeries:
+def useries_inverse(s: UPoly) -> TruncSeries:
     """Multiplicative inverse mod u^(order+1); the constant term must be +-q^e."""
+    if s.order is None:
+        raise ValueError("only a series, a value with an order, has an inverse")
     c0 = s.coeff(0)
     if not c0.is_unit_monomial():
         raise NonUnitConstantTermError(f"constant term {c0} is not a unit monomial")

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import qwhitney
+from qwhitney import audit, formulas, qalg, triangles, upoly
 from qwhitney.qalg import ONE, Q, SpanTooWideError, ZERO, q_power
 from qwhitney.audit import (
     DEFAULT_GRID,
@@ -581,3 +582,139 @@ def test_fault_sweep(clean_sweep_run, family, cell, fault):
     assert changed == expected
     assert all(results[key].status == "fail" for key in changed)
     assert len({check for check, _ in changed}) >= 2
+
+
+
+# -- route ledger ----------------------------------------------------------
+# Which module-level routes each (check, variant) reaches when it runs alone
+# at (2, 1) with rows to 6, on a cleared registry and cleared memos: the
+# `formulas` functions, the u-series builders, `dowling`, the triangles read
+# (family, and +r or -r) with their inverses, and the kernel entry points.
+# Class methods are left out, so a change of the u-series or kernel classes
+# cannot move the table.  A change that adds an alias or drops a route edits
+# the pinned table.
+
+LEDGER_POINT = Params(2, 1)
+LEDGER_NMAX = 6
+_LEDGER_MODULES = (qalg, upoly, triangles, formulas, audit)
+_LEDGER_ROUTES = [
+    *(
+        (formulas, name)
+        for name, obj in vars(formulas).items()
+        if callable(obj) and not isinstance(obj, type) and not name.startswith("_")
+        and obj.__module__ == formulas.__name__
+    ),
+    (upoly, "falling_factorial_u"),
+    (upoly, "rising_factorial_u"),
+    (upoly, "useries_inverse"),
+    (triangles, "dowling"),
+    (qalg, "lp_dot"),
+    (qalg, "lp_add_bracket"),
+    (qalg, "lp_div_bracket"),
+]
+
+
+def _read(family: FamilyId, params: Params) -> str:
+    """A triangle as the ledger names it: its family and the sign of r."""
+    return f"({family.value},{'+r' if params.r == LEDGER_POINT.r else '-r'})"
+
+
+@pytest.fixture(scope="module")
+def route_ledger() -> dict[tuple[str, str], str]:
+    """(check number, variant) -> the sorted names of the routes it reaches."""
+    reached: set[str] = set()
+    memos = [obj for m in _LEDGER_MODULES for obj in vars(m).values() if hasattr(obj, "cache_clear")]
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def get_triangle_recorded(family, params):
+        reached.add("get_triangle" + _read(family, params))
+        return get_triangle(family, params)
+
+    inverse = triangles.Triangle.__dict__["inverse"]
+
+    def inverse_recorded(tri):
+        reached.add("inverse" + _read(tri.family, tri.params))
+        return inverse.__get__(tri, triangles.Triangle)
+
+    wrappers = {name: recorded(name, getattr(module, name)) for module, name in _LEDGER_ROUTES}
+    wrappers["get_triangle"] = get_triangle_recorded
+    ledger = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, wrapper in wrappers.items():
+            for module in _LEDGER_MODULES:
+                if name in vars(module):
+                    mp.setattr(module, name, wrapper)
+        mp.setattr(triangles.Triangle, "inverse", property(inverse_recorded))
+        try:
+            for check_id, check in REGISTRY.items():
+                for variant in check.variants:
+                    clear_registry()
+                    for memo in memos:
+                        memo.cache_clear()
+                    reached.clear()
+                    check.fn(variant, LEDGER_POINT, LEDGER_NMAX)
+                    ledger[check_id[:3], variant.value] = " ".join(sorted(reached))
+        finally:
+            clear_registry()
+    return ledger
+
+
+
+ROUTE_LEDGER = {
+    ('C01', 'verbatim'): 'falling_factorial_u get_triangle(w2,+r) lp_add_bracket lp_dot triangular_sum',
+    ('C02', 'verbatim'): 'get_triangle(w2,+r) get_triangle(w2-star,+r) get_triangle(w2-tilde,+r) lp_add_bracket',
+    ('C03', 'verbatim'): 'get_triangle(w2,+r) get_triangle(w2,-r) lp_add_bracket',
+    ('C03', 'corrected'): 'get_triangle(w2,+r) lp_add_bracket lp_dot',
+    ('C04', 'verbatim'): 'get_triangle(w2,+r) lp_add_bracket lp_dot whitney2_vertical',
+    ('C05', 'verbatim'): 'get_triangle(w2,+r) lp_add_bracket lp_dot whitney2_horizontal',
+    ('C06', 'verbatim'): 'get_triangle(w2,+r) lp_add_bracket lp_div_bracket lp_dot q_difference rising_bracket_product whitney2_explicit',
+    ('C07', 'verbatim'): 'get_triangle(w2,+r) lp_add_bracket lp_div_bracket lp_dot q_difference rising_bracket_product whitney2_explicit',
+    ('C08', 'verbatim'): 'get_triangle(w2,+r) lp_add_bracket lp_dot useries_inverse whitney2_rational_gf',
+    ('C09', 'verbatim'): 'dowling get_triangle(w2,+r) get_triangle(w2-star,+r) get_triangle(w2-tilde,+r) lp_add_bracket',
+    ('C10', 'verbatim'): 'get_triangle(lah,+r) lp_add_bracket lp_dot',
+    ('C11', 'verbatim'): 'get_triangle(lah,+r) lah_vertical lp_add_bracket lp_dot',
+    ('C11', 'corrected'): 'get_triangle(lah,+r) lah_vertical lp_add_bracket lp_dot',
+    ('C12', 'verbatim'): 'get_triangle(w1,+r) get_triangle(w2,+r) lp_add_bracket lp_dot triangular_sum',
+    ('C13', 'verbatim'): 'get_triangle(w1,+r) get_triangle(w2,+r) inverse(w1,+r) inverse(w2,+r) lp_add_bracket lp_dot',
+    ('C14', 'verbatim'): 'get_triangle(lah,+r) get_triangle(w1,-r) get_triangle(w2,+r) lah_via_composition lp_add_bracket lp_dot triangular_sum',
+    ('C14', 'corrected'): 'get_triangle(lah,+r) get_triangle(w1-rising,+r) get_triangle(w2,+r) lah_via_composition lp_add_bracket lp_dot triangular_sum',
+    ('C15', 'verbatim'): 'get_triangle(lah,+r) get_triangle(w2,+r) get_triangle(w2,-r) lp_add_bracket lp_dot triangular_sum whitney_from_lah',
+    ('C15', 'corrected'): 'get_triangle(lah,+r) get_triangle(w1-rising,+r) get_triangle(w2,+r) inverse(w1-rising,+r) lp_add_bracket lp_dot triangular_sum whitney_from_lah',
+    ('C16', 'verbatim'): 'dowling dowling_qi get_triangle(lah,+r) get_triangle(w2,+r) get_triangle(w2,-r) lp_add_bracket lp_dot triangular_sum',
+    ('C16', 'corrected'): 'dowling dowling_qi get_triangle(lah,+r) get_triangle(w1-rising,+r) get_triangle(w2,+r) inverse(w1-rising,+r) lp_add_bracket lp_dot triangular_sum',
+    ('C17', 'verbatim'): 'falling_factorial_u get_triangle(lah,+r) lp_add_bracket lp_dot rising_factorial_u triangular_sum',
+    ('C18', 'verbatim'): 'get_triangle(lah,+r) lp_add_bracket',
+    ('C18', 'corrected'): 'get_triangle(lah,+r) lp_add_bracket',
+    ('C19', 'verbatim'): 'get_triangle(lah,+r) lp_add_bracket lp_dot rising_bracket_product',
+    ('C19', 'corrected'): 'get_triangle(lah,+r) lp_add_bracket lp_dot rising_bracket_product',
+    ('C20', 'verbatim'): 'get_triangle(lah,+r) lah_explicit lp_add_bracket lp_div_bracket lp_dot q_difference rising_bracket_product',
+    ('C21', 'verbatim'): 'get_triangle(lah,+r) lah_explicit lp_add_bracket lp_div_bracket lp_dot q_difference rising_bracket_product',
+    ('C22', 'verbatim'): 'get_triangle(lah,+r) lah_explicit lp_add_bracket lp_div_bracket lp_dot q_difference rising_bracket_product',
+    ('C23', 'verbatim'): 'falling_factorial_u get_triangle(w1,+r) lp_add_bracket lp_dot',
+    ('C24', 'verbatim'): 'get_triangle(w1,+r) lp_add_bracket',
+    ('C24', 'corrected'): 'get_triangle(w1,+r) lp_add_bracket lp_dot rising_bracket_product',
+    ('C25', 'verbatim'): 'get_triangle(w1,+r) lp_add_bracket',
+    ('C25', 'corrected'): 'get_triangle(w1,+r) lp_add_bracket',
+    ('C26', 'verbatim'): 'get_triangle(lah,+r) lp_add_bracket',
+}
+# Check numbers whose every variant reaches the same routes: the later ones
+# report the first one's verdict and carry no evidence of their own.
+ROUTE_ALIASES = [("C06", "C07"), ("C20", "C21", "C22")]
+
+
+def test_route_ledger(route_ledger):
+    assert route_ledger == ROUTE_LEDGER
+
+
+def test_route_aliases(route_ledger):
+    by_route: dict[tuple[str, ...], list[str]] = {}
+    for check_id, check in REGISTRY.items():
+        routes = tuple(route_ledger[check_id[:3], variant.value] for variant in check.variants)
+        by_route.setdefault(routes, []).append(check_id[:3])
+    assert [tuple(ids) for ids in by_route.values() if len(ids) > 1] == ROUTE_ALIASES

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import csv
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -623,10 +625,12 @@ class TestExpand:
             assert value.strip('"') == str(w2(int(n), 2))
 
     # The argument sets of the digests below: `wide` reaches Kronecker slots
-    # wider than 8 bytes (39 products), so its digest pins that byte codec.
+    # wider than 8 bytes (39 products), so its digest pins that byte codec;
+    # `zeros` is column 0 at r = 0, whose coefficients 1..6 are all zero.
     ARGS = {
         "short": ["--k", "2", "--order", "9", "--m", "2", "--r", "-1"],
         "wide": ["--k", "3", "--order", "30", "--m", "3", "--r", "3"],
+        "zeros": ["--k", "0", "--order", "6", "--m", "1", "--r", "0"],
     }
     # sha256 of `qwhitney expand ARGS --format FMT`, alone and with `--q=Q`.
     DIGESTS = {
@@ -639,6 +643,10 @@ class TestExpand:
         ("short", "latex", None): "c5810ed2f3839af29080b8ed068da32a3d7d71b20da359c6daa68bb5e9c3d6a5",
         ("short", "latex", "2/3"): "e2804593c876dcb7ec6df10d34f0d3f8dbaf5af413ae05dc49e7e0529f0178e0",
         ("wide", "json", None): "8ce167ab482b320bdd78cfdc0614a1de4d6c47b38d7202bc85a6bd03a3ce8a8b",
+        ("zeros", "text", None): "8f493950cb66587d772136029ed356ede6487754336d3138d229c10f588d946c",
+        ("zeros", "csv", None): "2c9188a351550f19c258987001d03e535c6602b68310676eb735fd380e0aad71",
+        ("zeros", "json", None): "e5c7806a520359d1e319632358f796d757391ab6bdaae2d449ee1ec87095155f",
+        ("zeros", "latex", None): "39443daf7379304dc354420736fe7e392432331a4d6f933dc9ced01a2049bf67",
     }
 
     @pytest.mark.parametrize(
@@ -912,6 +920,25 @@ def test_json_cell_matches_the_term_list(terms, pad):
     value = LaurentPoly(terms)
     expected = json.dumps(value.to_json_dict(), indent=1).replace("\n", "\n" + pad)
     assert cli._json_cell(value, argparse.Namespace(q=None, format="json"), pad) == expected
+
+
+@given(
+    st.dictionaries(st.integers(min_value=-40, max_value=40), st.integers(min_value=-(10**30), max_value=10**30), max_size=12),
+    st.one_of(st.none(), st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)),
+)
+def test_csv_cell_needs_no_escaping(terms, q):
+    # The CSV writer quotes each cell as it is, which is exact only while no
+    # cell text holds a quote, a comma or a line break; its lines are those
+    # of the stdlib writer that quotes every non-number.
+    args = argparse.Namespace(q=q, format="csv")
+    value = LaurentPoly(terms)
+    cell = cli._cell(value, args)
+    assert not {'"', ",", "\n"} & set(cell)
+    head, lines, tail = cli._csv(args, ["n", "k", "value"], lambda i: [(i, 0, value)])
+    expected = io.StringIO()
+    writer = csv.writer(expected, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer.writerows([["n", "k", "value"], [7, 0, cell]])
+    assert head + "".join(lines(7)) + tail == expected.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from qwhitney.formulas import (
     whitney2_vertical,
     whitney_from_lah,
 )
+from qwhitney.upoly import TruncSeries
 
 P10 = Params(1, 0)
 P11 = Params(1, 1)
@@ -117,6 +118,7 @@ class TestWhitney2Paths:
 
     def test_rational_gf_examples(self):
         s = whitney2_rational_gf(P10, 0, 3)
+        assert isinstance(s, TruncSeries) and s.order == 3
         assert s.coeff(0) == ONE
         assert all(s.coeff(n) == ZERO for n in (1, 2, 3))
         s = whitney2_rational_gf(P11, 0, 2)

@@ -124,8 +124,17 @@ class TestProductsMatchNaive:
     @given(st.integers(0, 6), coeff_lists, st.integers(0, 6), coeff_lists)
     def test_series(self, order_a, a, order_b, b):
         sa, sb = TruncSeries(order_a, a), TruncSeries(order_b, b)
+        assert sa == UPoly(a, order_a)
         order = min(order_a, order_b)
         assert sa * sb == TruncSeries(order, naive_product(sa.coeffs(), sb.coeffs(), order + 1))
+
+    @given(coeff_lists, st.integers(0, 6), coeff_lists)
+    def test_exact_times_series(self, a, order, b):
+        # The product is known to the series' order, in either order of factors.
+        exact, series = UPoly(a), TruncSeries(order, b)
+        want = TruncSeries(order, naive_product(a, b, order + 1))
+        assert exact * series == want
+        assert series * exact == want
 
     @given(st.integers(-3, 3), st.sampled_from([1, -1]), st.integers(0, 6), coeff_lists)
     def test_inverse(self, e, sign, order, tail):
@@ -159,6 +168,23 @@ class TestUPolyArithmetic:
     def test_render(self):
         assert str(UPoly()) == "0"
         assert str(UPoly((ZERO, ONE, Q))) == "(1)*u^1 + (q)*u^2"
+        assert repr(UPoly((ZERO, ONE))) == "UPoly((1)*u^1)"
+        assert repr(UPoly((ZERO, ONE), 2)) == "TruncSeries(order=2, (1)*u^1)"
+        assert str(TruncSeries(2)) == "0"
+
+    def test_order_is_read_only(self):
+        # The memoised factorials share their values, so none may change.
+        for value in (falling_factorial_u(1, 0, 2), TruncSeries(2, [ONE])):
+            with pytest.raises(AttributeError):
+                value.order = 5
+        assert falling_factorial_u(1, 0, 2).order is None
+
+    def test_one_type(self):
+        # TruncSeries is only the order-first constructor of UPoly.
+        standard = {"__module__", "__qualname__", "__doc__", "__firstlineno__", "__static_attributes__"}
+        assert "__mul__" not in vars(TruncSeries)
+        assert set(vars(TruncSeries)) - standard == {"__slots__", "__init__"}
+        assert TruncSeries(3, [ONE, Q]) == UPoly([ONE, Q], 3) != UPoly([ONE, Q])
 
 
 class TestSeries:
@@ -200,3 +226,7 @@ class TestSeries:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             TruncSeries(-1, [])
+
+    def test_inverse_needs_an_order(self):
+        with pytest.raises(ValueError):
+            useries_inverse(UPoly([ONE, -ONE]))
