@@ -231,7 +231,9 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
 
 # Explicit-sum verdicts per triangle, by (evaluator, nmax). Weakly keyed: a
 # triangle dropped by clear_registry() is freed together with its verdicts,
-# and the new triangle that replaces it is judged afresh.
+# and the new triangle that replaces it is judged afresh. A verdict is not
+# redone when a judged triangle's rows change in place, so whoever edits rows
+# calls clear_registry() first, as every fault-injecting test does.
 _EXPLICIT_VERDICTS: WeakKeyDictionary[Triangle, dict] = WeakKeyDictionary()
 
 

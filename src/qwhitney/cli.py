@@ -160,25 +160,19 @@ def _grid(args: argparse.Namespace, values: Callable[[int], Sequence[LaurentPoly
     LaTeX tabular with nmax + 1 columns.  Each cell, separator and delimiter
     is a chunk of its own, so only one formatted cell is held at once and
     none is copied."""
-    if args.format == "text":
+    text = args.format == "text"
+    first, between, close, end = ("", ", ", "", "\n") if text else ("$", " & $", "$", " \\\\\n")
 
-        def line(i: int) -> Iterator[str]:
-            for k, v in enumerate(values(i)):
-                if k:
-                    yield ", "
-                yield _cell(v, args)
-            yield "\n"
-
-        return "", line, ""
-
-    def row(i: int) -> Iterator[str]:
+    def line(i: int) -> Iterator[str]:
         for k, v in enumerate(values(i)):
-            yield " & $" if k else "$"
+            yield between if k else first
             yield _cell(v, args)
-            yield "$"
-        yield " \\\\\n"
+            yield close
+        yield end
 
-    return f"\\begin{{tabular}}{{{'r' * (args.nmax + 1)}}}\n", row, "\\end{tabular}\n"
+    if text:
+        return "", line, ""
+    return f"\\begin{{tabular}}{{{'r' * (args.nmax + 1)}}}\n", line, "\\end{tabular}\n"
 
 
 # The messages between a table's two processes are row numbers of _MSG bytes.

@@ -4,8 +4,9 @@ Six related families are produced over a common parameter pair (m, r):
 three forms of the second-kind triangle, two first-kind triangles (falling
 and rising basis), and the Lah-type triangle.  They differ only in their
 row of the weight table `_WEIGHTS`.  Entries are exact Laurent
-polynomials; each triangle is filled row-major on demand and entries are
-never recomputed.
+polynomials.  One lazily filled matrix, `Triangle`, is filled row-major on
+demand and never recomputes an entry; a subclass, such as the inverse
+`InverseMatrix`, supplies only its row rule.
 
 Every entry is read through the shared triangle: bind
 `get_triangle(family, params).value` once, then call it with (n, k); an
@@ -62,7 +63,8 @@ class FamilyId(Enum):
 
 
 class Triangle:
-    """A lazily filled, memoized triangle T[n, k] for one (family, params)."""
+    """The one lazily filled, memoized matrix T[n, k], here of one (family,
+    params); a subclass supplies only its row rule, `_next_row`."""
 
     def __init__(self, family: FamilyId, params: Params):
         self.family = family
@@ -161,8 +163,9 @@ def lah_row_sum(params: Params, n: int) -> LaurentPoly:
     return _row_sum(FamilyId.LAH, params, n)
 
 
-class InverseMatrix:
-    """Lower-triangular inverse of a triangle, filled row by row on demand.
+class InverseMatrix(Triangle):
+    """Lower-triangular inverse of a triangle: a `Triangle` whose row rule is
+    forward substitution, read the same way, `.row(n)` included.
 
     Rows satisfy sum_k M[n,k] T[k,j] = delta(n,j); because both matrices are
     lower triangular with unit-monomial diagonals, the same entries also give
@@ -170,26 +173,20 @@ class InverseMatrix:
     """
 
     def __init__(self, source: Triangle):
+        super().__init__(source.family, source.params)
         self.source = source
-        self._rows: list[list[LaurentPoly]] = []
+        self._rows = []  # no seed row: row 0's diagonal is checked too
 
-    def value(self, n: int, k: int) -> LaurentPoly:
-        if n < 0 or k < 0 or k > n:
-            return ZERO
-        self._ensure(n)
-        return self._rows[n][k]
-
-    def _ensure(self, n: int) -> None:
+    def _next_row(self, i: int) -> list[LaurentPoly]:
+        # Raising before the row is stored keeps rows < i readable.
         t = self.source
-        while len(self._rows) <= n:
-            i = len(self._rows)
-            diag = t.value(i, i)
-            if not diag.is_unit_monomial():
-                raise NonUnitDiagonalError(i, diag)
-            row = [ZERO] * (i + 1)
-            row[i] = diag.unit_inverse()
-            for j in range(i - 1, -1, -1):
-                acc = lp_dot((row[k], t.value(k, j)) for k in range(j + 1, i + 1))
-                # Row j, built and checked earlier, holds 1 / T[j, j] on its diagonal.
-                row[j] = -(acc * self._rows[j][j])
-            self._rows.append(row)
+        diag = t.value(i, i)
+        if not diag.is_unit_monomial():
+            raise NonUnitDiagonalError(i, diag)
+        row = [ZERO] * (i + 1)
+        row[i] = diag.unit_inverse()
+        for j in range(i - 1, -1, -1):
+            acc = lp_dot((row[k], t.value(k, j)) for k in range(j + 1, i + 1))
+            # Row j, built and checked earlier, holds 1 / T[j, j] on its diagonal.
+            row[j] = -(acc * self._rows[j][j])
+        return row

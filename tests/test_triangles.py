@@ -381,6 +381,36 @@ class TestInversion:
         copy = pickle.loads(pickle.dumps(err.value))
         assert (copy.n, copy.entry, str(copy)) == (1, q_bracket(2), str(err.value))
 
+    def test_inverse_is_a_triangle(self):
+        # The inverse only supplies its row rule; the fill is Triangle's.
+        standard = {"__module__", "__qualname__", "__doc__", "__firstlineno__", "__static_attributes__"}
+        assert issubclass(InverseMatrix, Triangle)
+        assert set(vars(InverseMatrix)) - standard == {"__init__", "_next_row"}
+
+    def test_inverse_rows_are_its_values(self):
+        for family in (FamilyId.W1_FALLING, FamilyId.W2, FamilyId.W1_RISING):
+            for p in (P10, Params(2, -3), Params(3, 3)):
+                inv = get_triangle(family, p).inverse
+                for n in range(9):
+                    assert inv.row(n) == tuple(inv.value(n, k) for k in range(n + 1)), (family, p, n)
+
+    def test_non_unit_diagonal_keeps_earlier_rows(self):
+        # w1 at (2, 1) with +1 added at its diagonal cell (5, 5): every read
+        # from row 5 on raises at row 5, and rows 0..4 stay readable.
+        clear_registry()
+        w1 = get_triangle(FamilyId.W1_FALLING, Params(2, 1))
+        w1.row(8)
+        w1._rows[5][5] = w1.value(5, 5) + ONE
+        try:
+            inv = w1.inverse
+            for _ in range(2):
+                with pytest.raises(NonUnitDiagonalError) as err:
+                    inv.value(7, 0)
+                assert err.value.n == 5
+            assert inv.value(4, 4) * w1.value(4, 4) == ONE
+        finally:
+            clear_registry()
+
     def test_out_of_range_is_zero(self):
         inv = get_triangle(FamilyId.W2, P10).inverse
         assert inv.value(2, 3) == ZERO
