@@ -13,7 +13,6 @@ do not make a report unclean.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -27,6 +26,7 @@ from .triangles import (
     NonUnitDiagonalError,
     Params,
     Triangle,
+    _usable_cpus,
     dowling,
     get_triangle,
 )
@@ -229,11 +229,11 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
     )
 
 
-# Explicit-sum verdicts per triangle, by (evaluator, nmax). Weakly keyed: a
-# triangle dropped by clear_registry() is freed together with its verdicts,
-# and the new triangle that replaces it is judged afresh. A verdict is not
-# redone when a judged triangle's rows change in place, so whoever edits rows
-# calls clear_registry() first, as every fault-injecting test does.
+# Explicit-sum verdicts per triangle, by (evaluator, nmax), shared by the
+# checks of one grid point: _run_point empties it before its first check, so
+# no verdict outlives its point, and one computed before a triangle's rows
+# changed in place is never served after.  Weakly keyed: a triangle dropped by
+# clear_registry() is freed together with its verdicts.
 _EXPLICIT_VERDICTS: WeakKeyDictionary[Triangle, dict] = WeakKeyDictionary()
 
 
@@ -243,7 +243,7 @@ def _explicit_verdict(
     """An explicit-sum evaluator against the triangle it evaluates, rows <= nmax.
 
     C07 reports the C06 verdict and C21, C22 the C20 one, so it is computed
-    once per triangle.
+    once per triangle and grid point.
     """
     verdicts = _EXPLICIT_VERDICTS.setdefault(triangle, {})
     if (evaluator, nmax) not in verdicts:
@@ -510,6 +510,7 @@ REGISTRY: dict[str, CheckDef] = {
 
 def _run_point(ids: list[str], nmax: int, params: Params) -> list[CheckResult]:
     """Every variant of each named check at one grid point, in (check, variant) order."""
+    _EXPLICIT_VERDICTS.clear()
     results = []
     for check_id in ids:
         check = REGISTRY[check_id]
@@ -518,16 +519,6 @@ def _run_point(ids: list[str], nmax: int, params: Params) -> list[CheckResult]:
             status = "pass" if ce is None else "fail"
             results.append(CheckResult(check_id, variant, params.m, params.r, status, ce))
     return results
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where `os` has no
-    `fork`: the one rule for whether work is shared with forked processes."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class AuditReport:

@@ -2,24 +2,23 @@
 expansion, and the identity audit.
 
 The output of `table`, `dowling` and `expand` is a head, items and a tail
-(a `_Layout`) written by one loop, `_emit`; only `table` uses two processes."""
+(a `_Layout`) written by one loop, `_emit`; only `table` uses two processes.
+The formulas, the audit, `fractions` and `json` are imported where they are
+used, so a command loads only what it runs: a text table, for one, loads
+none of them."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from .audit import DEFAULT_GRID, ParamGrid, REGISTRY, _usable_cpus, run_all
 from .qalg import _MAX_SPAN, EvalAtZeroError, LaurentPoly
-from .triangles import FamilyId, Params, dowling, get_triangle
-from .formulas import whitney2_rational_gf
+from .triangles import FamilyId, Params, _usable_cpus, dowling, get_triangle
 
 
 def _family(name: str) -> FamilyId:
@@ -34,6 +33,8 @@ _Q_SHOWN = 40  # characters of a refused --q value echoed in its error line
 
 
 def _q_spec(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         if _Q_FORM.fullmatch(text):
             return Fraction(text)
@@ -59,6 +60,8 @@ def _json_cell(value: LaurentPoly, args: argparse.Namespace, pad: str) -> str:
     already and whose other lines start with `pad`, written directly: with
     an indent, `json.dumps` takes its pure-Python encoder."""
     if args.q is not None:
+        import json
+
         return json.dumps(_cell(value, args))
     if not value:
         return f'{{\n{pad} "terms": []\n{pad}}}'
@@ -131,6 +134,8 @@ def _json(args: argparse.Namespace, doc: dict, key: str, item: Callable[[int], s
     and a newline, with `"q"` added last when given; the list is never empty.
     `item(i)` is the text of `json.dumps(item i, indent=1)` with two spaces
     after each newline, as it sits two levels deep."""
+    import json
+
     doc = dict(doc, **{key: []})
     if args.q is not None:
         doc["q"] = str(args.q)
@@ -364,6 +369,8 @@ def cmd_dowling(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    from .formulas import whitney2_rational_gf
+
     values = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order).coeffs()[args.k :]
     _check_cells(args, values)
     if args.format == "csv":
@@ -393,6 +400,8 @@ _GRID_KEYS = ("m", "r", "nmax")
 def parse_grid(spec: str | None) -> ParamGrid:
     """Parse 'm=1,2 r=-2..3 nmax=8' (separators ';' or whitespace); omitted
     keys keep their defaults, and a key may be given only once."""
+    from .audit import DEFAULT_GRID, ParamGrid
+
     m_values = DEFAULT_GRID.m_values
     r_values = DEFAULT_GRID.r_values
     nmax = DEFAULT_GRID.nmax
@@ -434,6 +443,8 @@ def parse_grid(spec: str | None) -> ParamGrid:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .audit import run_all
+
     try:
         report = run_all(args.grid, args.check or None)
     except RuntimeError as exc:
@@ -535,6 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "expand" and args.k < 0:
         _error("--k must be >= 0")
     if args.command == "audit":
+        from .audit import REGISTRY
+
         try:
             args.grid = parse_grid(args.grid)
         except (ValueError, TypeError) as exc:

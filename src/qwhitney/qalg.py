@@ -25,7 +25,6 @@ The q-bracket [n] = (1 - q^n)/(1 - q) is defined for every integer n:
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import add, index, neg, sub
@@ -296,6 +295,8 @@ class LaurentPoly:
 
     def eval_at(self, at: Fraction | int) -> Fraction:
         """Exact value at q = at; at = 0 requires all exponents nonnegative."""
+        from fractions import Fraction  # here: at the top it would add about 3 ms to every start
+
         x = Fraction(at)
         if x == 0:
             if self._c and self._v < 0:

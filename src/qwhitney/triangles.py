@@ -15,7 +15,7 @@ entry of its inverse, through `.inverse.value` the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -37,18 +37,48 @@ class NonUnitDiagonalError(ArithmeticError):
         return type(self), (self.n, self.entry)
 
 
-@dataclass(frozen=True)
 class Params:
-    """The parameter pair (m, r); m >= 1, r any integer."""
+    """The parameter pair (m, r); m >= 1, r any integer.  Immutable, equal
+    and hashed by (m, r).  A plain class: `dataclasses` would add about 10 ms
+    to every start."""
 
     m: int
     r: int
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.m) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-        if not _is_int(self.r):
-            raise ValueError(f"r must be an integer, got {self.r!r}")
+    def __init__(self, m: int, r: int) -> None:
+        if not _is_int(m) or m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {m!r}")
+        if not _is_int(r):
+            raise ValueError(f"r must be an integer, got {r!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.r) == (other.m, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.r))
+
+    def __repr__(self) -> str:
+        return f"Params(m={self.m!r}, r={self.r!r})"
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where `os` has no
+    `fork`: the one rule for whether work is shared with forked processes."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class FamilyId(Enum):

@@ -297,6 +297,20 @@ class TestRunCheck:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
+    def test_explicit_verdicts_follow_rows_changed_in_place(self):
+        # No verdict outlives its grid point: after the judged triangle's rows
+        # change in place, with the registry kept, C20 fails as C10 does.
+        clear_registry()
+        grid = ParamGrid((2,), (1,), 6)
+        try:
+            assert run_all(grid, ["C20_LAH_EXPLICIT"]).results[0].status == "pass"
+            get_triangle(FamilyId.LAH, Params(2, 1))._rows[4][2] += ONE
+            results = run_all(grid, ["C10_LAH_TRIANGULAR", "C20_LAH_EXPLICIT"]).results
+        finally:
+            clear_registry()
+        assert [(res.check, res.status) for res in results] == [("C10_LAH_TRIANGULAR", "fail"), ("C20_LAH_EXPLICIT", "fail")]
+        assert [(res.counterexample.n, res.counterexample.k) for res in results] == [(4, 2), (4, 2)]
+
     @pytest.mark.parametrize(
         "family, check_id, lhs, rhs",
         [

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qwhitney
-from qwhitney import cli
+from qwhitney import audit, cli
 from qwhitney.cli import main, parse_grid
 from qwhitney.qalg import LaurentPoly
 from qwhitney.triangles import FamilyId, Params, get_triangle
@@ -743,10 +743,25 @@ class TestAudit:
 
     def test_import_leaves_multiprocessing_out(self):
         # The audit imports them only when it starts workers; at import they
-        # would add about 30 ms to every command's start.
+        # would add about 30 ms to every command's start.  The formulas, the
+        # audit with the dataclasses and inspect it needs, fractions and json
+        # load where they are used, too.  The package's names resolve on first
+        # use, and `import *` binds every name of __all__.
         env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
-        code = "import sys, qwhitney.cli; sys.exit(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))"
-        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+        code = (
+            "import sys, qwhitney.cli\n"
+            "left = ('qwhitney.upoly', 'qwhitney.formulas', 'qwhitney.audit', 'dataclasses', 'inspect', 'fractions', 'json',"
+            " 'multiprocessing', 'concurrent.futures')\n"
+            "loaded = [m for m in left if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "import qwhitney\n"
+            "assert qwhitney.run_all is sys.modules['qwhitney.audit'].run_all\n"
+            "names = {}\n"
+            "exec('from qwhitney import *', names)\n"
+            "assert sorted(set(names) - {'__builtins__'}) == sorted(qwhitney.__all__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
 
     @pytest.mark.parametrize(
         "outputs",
@@ -763,7 +778,7 @@ class TestAudit:
         # file and followed it on stdout, where neither could be parsed.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
-        monkeypatch.setattr(cli, "run_all", lambda *args: pytest.fail("the audit ran"))
+        monkeypatch.setattr(audit, "run_all", lambda *args: pytest.fail("the audit ran"))
         assert run_cli(["audit", "--grid", "m=1 r=0 nmax=2", *outputs]) == 2
         out, err = capsys.readouterr()
         assert out == "" and not (tmp_path / "r.txt").exists()
@@ -784,7 +799,7 @@ class TestAudit:
         # b.txt are two links to one file.  The audit must not start.
         (tmp_path / "a.txt").touch()
         os.link(tmp_path / "a.txt", tmp_path / "b.txt")
-        code = "import sys\nfrom qwhitney import cli\ncli.run_all = lambda *args: sys.exit('the audit ran')\nsys.exit(cli.main())\n"
+        code = "import sys\nfrom qwhitney import audit, cli\naudit.run_all = lambda *args: sys.exit('the audit ran')\nsys.exit(cli.main())\n"
         with open(tmp_path / stdout, "w") as out:
             argv = ["audit", "--grid", "m=1 r=0 nmax=2", *outputs]
             with _python(code, *argv, stdout=out, stderr=subprocess.PIPE, cwd=tmp_path) as proc:

@@ -54,6 +54,49 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(m, r)
 
+    def test_keyword_and_positional(self):
+        p = Params(m=2, r=-1)
+        assert (p.m, p.r) == (2, -1)
+        assert p == Params(2, -1) == Params(2, r=-1)
+
+    def test_equal_pairs_equal_and_hash_alike(self):
+        assert Params(3, 0) == Params(3, 0) and hash(Params(3, 0)) == hash(Params(3, 0))
+        assert len({Params(3, 0), Params(3, 0), Params(0 + 3, -0)}) == 1
+        assert Params(3, 0) != Params(3, 1) and Params(3, 0) != Params(1, 0)
+        assert Params(1, 2) != (1, 2)
+
+    def test_repr(self):
+        assert repr(Params(2, -1)) == "Params(m=2, r=-1)"
+
+    def test_pickle_round_trip(self):
+        p = Params(2, -1)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(p, protocol))
+            assert type(back) is Params and back == p and hash(back) == hash(p)
+
+    def test_frozen(self):
+        p = Params(2, 1)
+        with pytest.raises(AttributeError):
+            p.m = 3
+        with pytest.raises(AttributeError):
+            p.r = 0
+        assert (p.m, p.r) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "m, r, message",
+        [
+            (0, 1, "m must be an integer >= 1, got 0"),
+            (1.0, 1, "m must be an integer >= 1, got 1.0"),
+            (True, 0, "m must be an integer >= 1, got True"),
+            (1, "2", "r must be an integer, got '2'"),
+            (1, False, "r must be an integer, got False"),
+        ],
+    )
+    def test_error_messages(self, m, r, message):
+        with pytest.raises(ValueError) as info:
+            Params(m, r)
+        assert str(info.value) == message
+
 
 class TestWhitney2:
     def test_examples(self):
