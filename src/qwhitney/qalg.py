@@ -235,14 +235,6 @@ class LaurentPoly:
         v = self._v
         return {v + i: c for i, c in enumerate(self._c) if c}
 
-    def degree(self) -> int | None:
-        """Largest exponent, or None for the zero polynomial."""
-        return self._v + len(self._c) - 1 if self._c else None
-
-    def valuation(self) -> int | None:
-        """Smallest exponent, or None for the zero polynomial."""
-        return self._v if self._c else None
-
     def coeff(self, e: int) -> int:
         i = e - self._v
         return self._c[i] if 0 <= i < len(self._c) else 0

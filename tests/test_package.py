@@ -1,5 +1,10 @@
 """Tests of the package's public namespace."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import qwhitney
 from qwhitney import audit, formulas, qalg, triangles, upoly
 
@@ -41,7 +46,28 @@ def test_removed_methods_are_gone():
     assert not hasattr(triangles.Triangle, "rows")
     # The JSON reader had no caller once the on-disk cache was gone.
     assert not hasattr(qalg.LaurentPoly, "from_json_dict")
+    # Nothing outside the tests read a value's degree or valuation.
+    assert not hasattr(qalg.LaurentPoly, "degree")
+    assert not hasattr(qalg.LaurentPoly, "valuation")
 
 
 def test_export_count():
     assert len(qwhitney.__all__) == len(set(qwhitney.__all__)) == 47
+
+
+def test_names_load_their_module_on_first_use():
+    # The package loads no submodule; a name loads the module that defines
+    # it, and no other.  __all__ is the table's names, once each, sorted.
+    env = dict(os.environ, PYTHONPATH=str(Path(qwhitney.__file__).resolve().parent.parent))
+    code = (
+        "import sys, qwhitney\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('qwhitney.'))\n"
+        "assert loaded() == [], loaded()\n"
+        "qwhitney.LaurentPoly\n"
+        "assert loaded() == ['qwhitney.qalg'], loaded()\n"
+        "names = [name for names in qwhitney._EXPORTS.values() for name in names]\n"
+        "assert len(names) == len(set(names))\n"
+        "assert qwhitney.__all__ == sorted(names)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
