@@ -32,12 +32,26 @@ _Q_FORM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _Q_SHOWN = 40  # characters of a refused --q value echoed in its error line
 
 
+@contextmanager
+def _unlimited_digits() -> Iterator[None]:
+    """Run the body with no limit on int <-> str digits (Python 3.11 on)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _q_spec(text: str) -> Fraction:
     from fractions import Fraction
 
     try:
         if _Q_FORM.fullmatch(text):
-            return Fraction(text)
+            with _unlimited_digits():
+                return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
     # A long value is echoed cut short: the line names it, it need not repeat it.
@@ -60,9 +74,7 @@ def _json_cell(value: LaurentPoly, args: argparse.Namespace, pad: str) -> str:
     already and whose other lines start with `pad`, written directly: with
     an indent, `json.dumps` takes its pure-Python encoder."""
     if args.q is not None:
-        import json
-
-        return json.dumps(_cell(value, args))
+        return f'"{_cell(value, args)}"'  # -?digits(/digits)? needs no escaping
     if not value:
         return f'{{\n{pad} "terms": []\n{pad}}}'
     inner = pad + "  "
@@ -545,6 +557,10 @@ def main(argv: list[str] | None = None) -> int:
         _error("--nmax must be >= 0")
     if args.command == "expand" and args.k < 0:
         _error("--k must be >= 0")
+    # A longer series or sequence is refused before any of its values is made.
+    length = {"expand": "order", "dowling": "nmax"}.get(args.command)
+    if length and getattr(args, length) > _MAX_SPAN:
+        _error(f"--{length} must be <= {_MAX_SPAN}")
     if args.command == "audit":
         from .audit import REGISTRY
 
@@ -557,21 +573,14 @@ def main(argv: list[str] | None = None) -> int:
                 _error(f"unknown check id {check_id!r}")
         if not args.quiet and args.json is not None and _identity(args.output) == _identity(args.json):
             _error("the text table and the --json report would share one output; add --quiet or name two")
-    # Parsed values stay under the limit on the digits of an int <-> str
-    # conversion; a value at --q, such as lah row 30 at q = 1000, may be
-    # longer.  The limit is lifted for the command and then restored.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # A value at --q, such as lah row 30 at q = 1000, may pass the digit limit.
     try:
-        return args.fn(args)
+        with _unlimited_digits():
+            return args.fn(args)
     except EvalAtZeroError:
         _error("--q 0 is not allowed for families with negative q-exponents")
     except ValueError as exc:
         _error(str(exc))
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

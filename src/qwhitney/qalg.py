@@ -82,12 +82,8 @@ def _sum(va: int, a: tuple[int, ...], vb: int, b: tuple[int, ...]) -> tuple[int,
         return va, a + (0,) * (off - la) + b
     end = off + lb
     if end <= la:
-        coeffs = a[:off] + tuple(map(add, a[off:end], b)) + a[end:]
-    else:
-        coeffs = a[:off] + tuple(map(add, a[off:], b)) + b[la - off :]
-    if coeffs[0] and coeffs[-1]:
-        return va, coeffs
-    return _trim(va, coeffs)
+        return _trim(va, a[:off] + tuple(map(add, a[off:end], b)) + a[end:])
+    return _trim(va, a[:off] + tuple(map(add, a[off:], b)) + b[la - off :])
 
 
 @cache
@@ -332,9 +328,7 @@ class LaurentPoly:
         slices of the blocks of _suffix_block, a memo of at most 64 blocks of
         1,024 exponents (about 4.9 MB), so each exponent is formatted once per
         process.  A palindrome, whose first half equals its reversed second
-        half, is formatted and fixed up for its first half alone and mirrored.
-        The zero and unit terms are fixed up only when one scan of that half
-        finds any."""
+        half, is formatted and fixed up for its first half alone and mirrored."""
         c = self._c
         if not c:
             return "0"
@@ -357,21 +351,18 @@ class LaurentPoly:
             blocks = (block(times, lbrace, rbrace, b) for b in range(b0, b1 + 1))
             parts[1::2] = islice(chain.from_iterable(blocks), lo, lo + n)
         parts[-1] = parts[-1][:-3]
-        low = min(map(abs, first))
-        if low < 2:
-            # A zero term is blanked.  A coefficient +-1 off exponent 0 is its
-            # sign alone, before its suffix without `times`.  An odd
-            # palindrome's centre is its own mirror, and is fixed up once.
-            cut = len(times)
-            for x, sign in ((0, ""), (1, ""), (-1, "-")) if not low else ((1, ""), (-1, "-")):
-                i = -1
-                for _ in range(first.count(x)):
-                    i = first.index(x, i + 1)
-                    for j in (i, n - 1 - i) if pal and 2 * i + 1 != n else (i,):
-                        if not x:
-                            parts[2 * j : 2 * j + 2] = "", ""
-                        elif j != -v:
-                            parts[2 * j : 2 * j + 2] = sign, parts[2 * j + 1][cut:]
+        # A zero term is blanked.  A coefficient +-1 off exponent 0 is its sign
+        # alone, before its suffix without `times`.  An odd palindrome's centre
+        # is its own mirror, and is fixed up once.
+        for x, sign in (0, ""), (1, ""), (-1, "-"):
+            i = -1
+            for _ in range(first.count(x)):
+                i = first.index(x, i + 1)
+                for j in (i, n - 1 - i) if pal and 2 * i + 1 != n else (i,):
+                    if not x:
+                        parts[2 * j : 2 * j + 2] = "", ""
+                    elif j != -v:
+                        parts[2 * j : 2 * j + 2] = sign, parts[2 * j + 1][len(times) :]
         # A negative coefficient follows " + "; an exponent's sign follows "^".
         text = "".join(parts)
         return text.replace(" + -", " - ") if min(first) < 0 else text
@@ -476,8 +467,7 @@ def lp_add_bracket(p: LaurentPoly, q: LaurentPoly, b: int) -> LaurentPoly:
         d = len(long) - len(short)
         half = [*long[:d], *map(add, long[d:], short)]
     # An odd span has a middle coefficient, which is not repeated.
-    coeffs = tuple(half + half[-1 - (span & 1) :: -1])
-    return LaurentPoly._raw(lo, coeffs) if coeffs[0] else LaurentPoly._raw(*_trim(lo, coeffs))
+    return LaurentPoly._raw(*_trim(lo, tuple(half + half[-1 - (span & 1) :: -1])))
 
 
 def lp_div_bracket(p: LaurentPoly, b: int) -> LaurentPoly:

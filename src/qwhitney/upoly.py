@@ -7,9 +7,9 @@ arithmetic is exact modulo u^(order+1).
 
 One type, `UPoly`, holds both: an exact polynomial when its order is
 None, a series known mod u^(order+1) otherwise.  `TruncSeries` is its
-order-first series constructor.  The type offers only what the program
-uses: construction, `coeff`, `coeffs`, the product and equality.  The
-module builds the bracket products `falling_factorial_u` and
+order-first series constructor.  The program uses construction, `coeff`,
+`coeffs` and the product; equality is there for library callers and the
+tests.  The module builds the bracket products `falling_factorial_u` and
 `rising_factorial_u` and inverts series.
 """
 

@@ -180,20 +180,34 @@ class TestTable:
             "1/2/3",
             "3/0",
             "",
-            pytest.param(
-                "7" * 5000,
-                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
-                id="5000-digits",
-            ),
+            pytest.param("7" * 5000 + ".5", id="5000-digits-decimal"),
+            pytest.param("7" * 5000 + "/0", id="5000-digits-over-0"),
         ],
     )
     def test_q_forms_refused(self, q, capsys):
-        # Only an integer or p/d; parsing keeps the limit on digits.
+        # Only an integer or p/d.
         assert run_cli(["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "2", f"--q={q}"]) == 2
         (line,) = [x for x in capsys.readouterr().err.splitlines() if "q must be an integer or p/d fraction" in x]
         # A long value is echoed cut to 40 characters and an ellipsis.
         assert len(line) < 150
         assert line.endswith(repr(q) if len(q) <= 40 else f"{q[:40]!r}...")
+
+    def test_q_longer_than_the_int_str_limit(self, tmp_path, capsys):
+        # A --q of 5,000 digits, more than the default limit on an int <-> str
+        # conversion, is read exactly: the limit is lifted for --q alone and
+        # restored, so an --m as long is still refused where the limit holds.
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit, target = get_limit(), tmp_path / "t.txt"
+        args = ["table", "--family", "w1", "--m", "1", "--r", "1", "--nmax", "3"]
+        assert run_cli(args + ["--q", "7" * 5000, "-o", str(target)]) == 0
+        assert get_limit() == limit
+        q = 7 * (10**5000 - 1) // 9
+        with cli._unlimited_digits():
+            rows = [", ".join(str(v.eval_at(q)) for v in get_triangle(FamilyId.W1_FALLING, Params(1, 1)).row(n)) for n in range(4)]
+        assert target.read_text() == "".join(row + "\n" for row in rows)
+        if limit:
+            assert run_cli(["table", "--family", "w1", "--m", "7" * 5000, "--r", "1", "--nmax", "3"]) == 2
+            assert "invalid int value" in capsys.readouterr().err
 
     def test_bad_family(self):
         assert run_cli(["table", "--family", "nope", "--m", "1", "--r", "0", "--nmax", "1"]) == 2
@@ -871,6 +885,23 @@ class TestErrors:
     def test_one_line_without_usage(self, argv, message, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"qwhitney: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--k", "0", "--m", "1", "--r", "0", "--order"],
+            ["dowling", "--form", "1", "--m", "1", "--r", "0", "--nmax"],
+        ],
+        ids=["order", "dowling-nmax"],
+    )
+    def test_too_many_values_refused_before_any_is_made(self, argv, monkeypatch, capsys):
+        # Made, such a series or sequence ran out of memory and exited 1, which
+        # reads as "audit not clean"; it is refused before the command runs.
+        for name in ("cmd_expand", "cmd_dowling"):
+            monkeypatch.setattr(cli, name, lambda args: 0)
+        assert run_cli(argv + ["1000000000000"]) == 2
+        assert capsys.readouterr().err == f"qwhitney: error: {argv[-1]} must be <= 16777216\n"
+        assert run_cli(argv + ["16777216"]) == 0
 
     @pytest.mark.parametrize(
         "argv",

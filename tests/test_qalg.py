@@ -670,6 +670,12 @@ class TestRendering:
     @example(LaurentPoly({3: 2, 4: 1, 5: 2}))
     @example(LaurentPoly({3: 2, 4: 0, 5: 2}))
     @example(LaurentPoly({-1: 1, 0: 1, 1: 1}))
+    # No coefficient in {-1, 0, 1}; interior zeros with no unit beside them.
+    @example(LaurentPoly({0: 2, 1: 3}))
+    @example(LaurentPoly({-2: 3, 0: 5, 3: -7}))
+    # Odd palindromes centred on +-1 at the first exponent of a block.
+    @example(LaurentPoly({BLOCK - 2: 3, BLOCK - 1: 2, BLOCK: 1, BLOCK + 1: 2, BLOCK + 2: 3}))
+    @example(LaurentPoly({-BLOCK - 1: 2, -BLOCK: -1, -BLOCK + 1: 2}))
     @settings(max_examples=400)
     def test_matches_term_by_term_rendering(self, p):
         assert str(p) == render_oracle(p, "*", "", "")
