@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from math import comb, factorial
 from typing import Callable, Iterable
-from weakref import WeakKeyDictionary
 
 from .qalg import LaurentPoly, ONE, ZERO, _is_int, q_bracket, q_power
 from .triangles import (
     FamilyId,
     NonUnitDiagonalError,
     Params,
-    Triangle,
     _usable_cpus,
     dowling,
     get_triangle,
@@ -229,33 +227,16 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
     )
 
 
-# Explicit-sum verdicts per triangle, by (evaluator, nmax), shared by the
-# checks of one grid point: _run_point empties it before its first check, so
-# no verdict outlives its point, and one computed before a triangle's rows
-# changed in place is never served after.  Weakly keyed: a triangle dropped by
-# clear_registry() is freed together with its verdicts.
-_EXPLICIT_VERDICTS: WeakKeyDictionary[Triangle, dict] = WeakKeyDictionary()
-
-
-def _explicit_verdict(
-    evaluator: Callable[[Params, int, int], LaurentPoly], triangle: Triangle, nmax: int
-) -> Counterexample | None:
-    """An explicit-sum evaluator against the triangle it evaluates, rows <= nmax.
-
-    C07 reports the C06 verdict and C21, C22 the C20 one, so it is computed
-    once per triangle and grid point.
-    """
-    verdicts = _EXPLICIT_VERDICTS.setdefault(triangle, {})
-    if (evaluator, nmax) not in verdicts:
-        verdicts[evaluator, nmax] = _first_mismatch(
-            _triangle(range(nmax + 1)),
-            (lambda n, k: evaluator(triangle.params, n, k), triangle.value),
-        )
-    return verdicts[evaluator, nmax]
-
-
+# C07 reports the C06 verdict and C21, C22 the C20 one, so each explicit
+# sum is checked once per grid point: _run_point empties both memos before
+# its first check, so no verdict outlives its point.  A call from outside
+# _run_point may read a verdict kept from before clear_registry().
+@cache
 def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    return _explicit_verdict(whitney2_explicit, get_triangle(FamilyId.W2, p), nmax)
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (lambda n, k: whitney2_explicit(p, n, k), get_triangle(FamilyId.W2, p).value),
+    )
 
 
 def _check_w_rational_gf(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -374,8 +355,12 @@ def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexa
     )
 
 
+@cache
 def _check_lah_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
-    return _explicit_verdict(lah_explicit, get_triangle(FamilyId.LAH, p), nmax)
+    return _first_mismatch(
+        _triangle(range(nmax + 1)),
+        (lambda n, k: lah_explicit(p, n, k), get_triangle(FamilyId.LAH, p).value),
+    )
 
 
 def _check_w1_recurrence(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
@@ -510,7 +495,8 @@ REGISTRY: dict[str, CheckDef] = {
 
 def _run_point(ids: list[str], nmax: int, params: Params) -> list[CheckResult]:
     """Every variant of each named check at one grid point, in (check, variant) order."""
-    _EXPLICIT_VERDICTS.clear()
+    _check_w_explicit.cache_clear()
+    _check_lah_explicit.cache_clear()
     results = []
     for check_id in ids:
         check = REGISTRY[check_id]

@@ -1,5 +1,6 @@
 """Tests for the identity registry, grid runner and report assembly."""
 
+import dataclasses
 import gc
 import hashlib
 import multiprocessing
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import weakref
+from collections import Counter
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -310,6 +312,32 @@ class TestRunCheck:
             clear_registry()
         assert [(res.check, res.status) for res in results] == [("C10_LAH_TRIANGULAR", "fail"), ("C20_LAH_EXPLICIT", "fail")]
         assert [(res.counterexample.n, res.counterexample.k) for res in results] == [(4, 2), (4, 2)]
+
+    def test_explicit_verdicts_shared_under_per_id_wrappers(self, monkeypatch):
+        # A tracer wraps each check id's function on its own, as
+        # perfbench/tracer.py does; C07 must still reach the memoised C06
+        # check and C21, C22 the C20 one, so each evaluator runs once per cell.
+        ids = ["C06_W_EXPLICIT", "C07_W_EGF", "C20_LAH_EXPLICIT", "C21_LAH_NEWTON", "C22_LAH_EGF"]
+        fns = [REGISTRY[cid].fn for cid in ids]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for cid in ids:
+            monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(REGISTRY[cid], fn=counted(cid, REGISTRY[cid].fn)))
+        for name in ("whitney2_explicit", "lah_explicit"):
+            monkeypatch.setattr(audit, name, counted(name, getattr(audit, name)))
+        for run in (1, 2):
+            results = audit._run_point(ids, 8, Params(2, 1))
+            assert [res.status for res in results] == ["pass"] * 5
+            assert calls == {**dict.fromkeys(ids, run), "whitney2_explicit": 45 * run, "lah_explicit": 45 * run}
+        assert fns[0] is fns[1] and fns[2] is fns[3] is fns[4]
+        assert hasattr(fns[0], "cache_clear") and hasattr(fns[2], "cache_clear")
 
     @pytest.mark.parametrize(
         "family, check_id, lhs, rhs",
