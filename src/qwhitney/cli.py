@@ -383,7 +383,8 @@ def cmd_dowling(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     from .formulas import whitney2_rational_gf
 
-    values = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order).coeffs()[args.k :]
+    series = whitney2_rational_gf(Params(args.m, args.r), args.k, args.order)
+    values = [series.coeff(n) for n in range(args.k, args.order + 1)]
     _check_cells(args, values)
     if args.format == "csv":
         layout = _csv(args, ["n", "value"], lambda i: [(args.k + i, values[i])])

@@ -6,11 +6,13 @@ live in the Laurent ring of `qalg`; all arithmetic is exact, and series
 arithmetic is exact modulo u^(order+1).
 
 One type, `UPoly`, holds both: an exact polynomial when its order is
-None, a series known mod u^(order+1) otherwise.  `TruncSeries` is its
-order-first series constructor.  The program uses construction, `coeff`,
-`coeffs` and the product; equality is there for library callers and the
-tests.  The module builds the bracket products `falling_factorial_u` and
-`rising_factorial_u` and inverts series.
+None, a series known mod u^(order+1) otherwise.  Both are stored trimmed
+of trailing zeros, so `coeff(i)` reads zero past the last stored
+coefficient.  `TruncSeries` is its order-first series constructor.  The
+program uses construction, `coeff`, `coeffs` and the product; equality
+is there for library callers and the tests.  The module builds the
+bracket products `falling_factorial_u` and `rising_factorial_u` and
+inverts series.
 """
 
 from __future__ import annotations
@@ -32,25 +34,22 @@ def _product_coeff(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], n: int) -
 
 
 class UPoly:
-    """A polynomial in u with LaurentPoly coefficients, trailing zeros
-    trimmed, or, given an order, a series known mod u^(order+1) that keeps
-    its coefficients 0..order, zeros included.  Values are immutable: the
-    memoised factorials share them."""
+    """A polynomial in u with LaurentPoly coefficients or, given an order,
+    a series known mod u^(order+1), cut to coefficients 0..order.  Either
+    is stored with trailing zeros trimmed, and `coeff(i)` reads zero past
+    the last stored coefficient.  Values are immutable: the memoised
+    factorials share them."""
 
     __slots__ = ("_coeffs", "_order")
 
     def __init__(self, coeffs: Iterable[LaurentPoly] = (), order: int | None = None):
-        cs = tuple(coeffs)
-        if order is None:
-            d = len(cs)
-            while d and not cs[d - 1]:
-                d -= 1
-            cs = cs[:d]
-        elif order < 0:
+        if order is not None and order < 0:
             raise ValueError("series order must be >= 0")
-        else:
-            cs = cs[: order + 1] + (ZERO,) * (order + 1 - len(cs))
-        self._coeffs = cs
+        cs = tuple(coeffs)[: None if order is None else order + 1]
+        d = len(cs)
+        while d and not cs[d - 1]:
+            d -= 1
+        self._coeffs = cs[:d]
         self._order = order
 
     @property
@@ -70,7 +69,7 @@ class UPoly:
             return NotImplemented
         order = min((o for o in (self._order, other._order) if o is not None), default=None)
         a, b = self._coeffs, other._coeffs
-        length = len(a) + len(b) - 1 if order is None else order + 1
+        length = len(a) + len(b) - 1 if order is None else min(order + 1, len(a) + len(b) - 1)
         return UPoly([_product_coeff(a, b, n) for n in range(length)], order)
 
     def __eq__(self, other: object) -> bool:

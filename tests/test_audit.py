@@ -3,9 +3,11 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -624,6 +626,40 @@ def test_fault_sweep(clean_sweep_run, family, cell, fault):
     assert changed == expected
     assert all(results[key].status == "fail" for key in changed)
     assert len({check for check, _ in changed}) >= 2
+
+
+# -- kernel mutant ---------------------------------------------------------
+# A fault in the kernel itself, in a copy of the package: `abs(b)` in
+# `lp_add_bracket`'s centre test changes, for m 1..3, r -3..3 and n <= 16,
+# only w1-rising at (2, -3), a point below the default grid's r = -2.  The
+# matrix routes through it (C14, C15 and C16 corrected) fail at (2, 0).
+
+MUTANT_CHECKS = ["C14_LAH_COMPOSITION", "C15_W_FROM_LAH", "C16_DOWLING_QI"]
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["unmutated", "abs-b"])
+def test_kernel_mutant_abs_b(tmp_path, mutated):
+    package = tmp_path / "qwhitney"
+    shutil.copytree(Path(qwhitney.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutated:
+        text = (package / "qalg.py").read_text()
+        assert text.count("+ b - 1)") == 1
+        (package / "qalg.py").write_text(text.replace("+ b - 1)", "+ abs(b) - 1)"))
+    checks = [arg for check in MUTANT_CHECKS for arg in ("--check", check)]
+    argv = ["audit", "--grid", "m=2 r=-3 nmax=16", *checks, "--quiet", "--json", "report.json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwhitney.cli", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, timeout=120,
+    )
+    assert proc.returncode == (1 if mutated else 0), proc.stderr.decode()
+    report = json.loads((tmp_path / "report.json").read_text())
+    corrected = {res["id"]: res for res in report["checks"] if res["variant"] == "corrected"}
+    assert sorted(corrected) == MUTANT_CHECKS
+    for res in corrected.values():
+        if mutated:
+            assert res["status"] == "fail" and (res["counterexample"]["n"], res["counterexample"]["k"]) == (2, 0)
+        else:
+            assert res["status"] == "pass"
 
 
 
