@@ -52,11 +52,12 @@ class UnknownCheckIdError(KeyError):
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """The (m, r) grid and row bound a run covers; values iterate sorted."""
+    """The (m, r) grid and row bound a run covers; values iterate sorted.
+    The defaults are the default grid, DEFAULT_GRID."""
 
-    m_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-    nmax: int
+    m_values: tuple[int, ...] = (1, 2, 3)
+    r_values: tuple[int, ...] = tuple(range(-2, 4))
+    nmax: int = 10
 
     def __post_init__(self) -> None:
         if not self.m_values or not self.r_values:
@@ -76,7 +77,7 @@ class ParamGrid:
                 yield Params(m, r)
 
 
-DEFAULT_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 10)
+DEFAULT_GRID = ParamGrid()
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,8 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
 
 # C07 reports the C06 verdict and C21, C22 the C20 one, so each explicit
 # sum is checked once per grid point: _run_point empties both memos before
-# its first check, so no verdict outlives its point.  A call from outside
-# _run_point may read a verdict kept from before clear_registry().
+# its first check, so no verdict outlives its point.  For a call from
+# outside _run_point, see the note above REGISTRY.
 @cache
 def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
@@ -460,6 +461,9 @@ def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterex
 _BOTH = (Variant.VERBATIM, Variant.CORRECTED)
 _SINGLE = (Variant.VERBATIM,)
 
+# C06, C07, C20, C21 and C22 keep their verdicts until _run_point clears
+# them.  A caller outside run_all that calls a check's fn after
+# clear_registry() must call that fn's cache_clear() first.
 REGISTRY: dict[str, CheckDef] = {
     c.id: c
     for c in [

@@ -407,52 +407,41 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-_GRID_KEYS = ("m", "r", "nmax")
+_GRID_FIELDS = {"m": "m_values", "r": "r_values", "nmax": "nmax"}
 
 
 def parse_grid(spec: str | None) -> ParamGrid:
     """Parse 'm=1,2 r=-2..3 nmax=8' (separators ';' or whitespace); omitted
-    keys keep their defaults, and a key may be given only once."""
-    from .audit import DEFAULT_GRID, ParamGrid
+    keys keep ParamGrid's defaults, and a key may be given only once."""
+    from .audit import ParamGrid
 
-    m_values = DEFAULT_GRID.m_values
-    r_values = DEFAULT_GRID.r_values
-    nmax = DEFAULT_GRID.nmax
-    seen: set[str] = set()
-    if spec:
-        for token in re.split(r"[;\s]+", spec.strip()):
-            if not token:
-                continue
-            if "=" not in token:
-                raise ValueError(f"grid token {token!r} is not key=values")
-            key, _, raw = token.partition("=")
-            if key not in _GRID_KEYS:
-                raise ValueError(f"unknown grid key {key!r}")
-            if key in seen:
-                raise ValueError(f"grid key {key!r} given more than once")
-            seen.add(key)
-            values: list[int] = []
-            for part in raw.split(","):
-                if ".." in part:
-                    lo, _, hi = part.partition("..")
-                    lo, hi = int(lo), int(hi)
-                    # A longer range holds an |r| > 2^24 or an m > 2^25 + 1,
-                    # where every check meets a bracket too wide to store;
-                    # it is refused before it is expanded.
-                    if hi - lo > 2 * _MAX_SPAN:
-                        raise ValueError(f"range {part!r} has more than {2 * _MAX_SPAN + 1} values")
-                    values.extend(range(lo, hi + 1))
-                else:
-                    values.append(int(part))
-            if key == "m":
-                m_values = tuple(values)
-            elif key == "r":
-                r_values = tuple(values)
+    given: dict[str, tuple[int, ...] | int] = {}
+    for token in re.findall(r"[^;\s]+", spec or ""):
+        key, eq, raw = token.partition("=")
+        if not eq:
+            raise ValueError(f"grid token {token!r} is not key=values")
+        field = _GRID_FIELDS.get(key)
+        if field is None:
+            raise ValueError(f"unknown grid key {key!r}")
+        if field in given:
+            raise ValueError(f"grid key {key!r} given more than once")
+        values: list[int] = []
+        for part in raw.split(","):
+            if ".." in part:
+                lo, _, hi = part.partition("..")
+                lo, hi = int(lo), int(hi)
+                # A longer range holds an |r| > 2^24 or an m > 2^25 + 1,
+                # where every check meets a bracket too wide to store;
+                # it is refused before it is expanded.
+                if hi - lo > 2 * _MAX_SPAN:
+                    raise ValueError(f"range {part!r} has more than {2 * _MAX_SPAN + 1} values")
+                values.extend(range(lo, hi + 1))
             else:
-                if len(values) != 1:
-                    raise ValueError("nmax takes a single value")
-                nmax = values[0]
-    return ParamGrid(m_values, r_values, nmax)
+                values.append(int(part))
+        if field == "nmax" and len(values) != 1:
+            raise ValueError("nmax takes a single value")
+        given[field] = values[0] if field == "nmax" else tuple(values)
+    return ParamGrid(**given)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -315,6 +315,30 @@ class TestRunCheck:
         assert [(res.check, res.status) for res in results] == [("C10_LAH_TRIANGULAR", "fail"), ("C20_LAH_EXPLICIT", "fail")]
         assert [(res.counterexample.n, res.counterexample.k) for res in results] == [(4, 2), (4, 2)]
 
+    @pytest.mark.parametrize(
+        "route, checks",
+        [("direct", ["C20_LAH_EXPLICIT"]), ("run_all", ["C20_LAH_EXPLICIT", "C22_LAH_EGF"])],
+    )
+    def test_explicit_verdict_after_clear_registry(self, monkeypatch, route, checks):
+        # The recipe for a caller outside run_all: after clear_registry(),
+        # a direct call of the C20 fn follows its cache_clear(); run_all
+        # clears the kept verdict itself, with no extra call.
+        fn, p = REGISTRY["C20_LAH_EXPLICIT"].fn, Params(2, 1)
+        clear_registry()
+        fn.cache_clear()  # drop a verdict an earlier test kept
+        assert fn(Variant.VERBATIM, p, 6) is None
+        _bracket_one_up(monkeypatch, FamilyId.LAH)
+        try:
+            if route == "direct":
+                fn.cache_clear()
+                found = {"C20_LAH_EXPLICIT": fn(Variant.VERBATIM, p, 6)}
+            else:
+                found = {res.check: res.counterexample for res in run_all(ParamGrid((2,), (1,), 6), checks).results}
+        finally:
+            clear_registry()
+            fn.cache_clear()
+        assert {cid: (ce.n, ce.k) for cid, ce in found.items()} == dict.fromkeys(checks, (1, 0))
+
     def test_explicit_verdicts_shared_under_per_id_wrappers(self, monkeypatch):
         # A tracer wraps each check id's function on its own, as
         # perfbench/tracer.py does; C07 must still reach the memoised C06

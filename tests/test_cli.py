@@ -918,7 +918,90 @@ class TestErrors:
         assert err.startswith("usage: ") and "error: " in err.splitlines()[-1]
 
 
+_DEFAULT_VALUES = ((1, 2, 3), (-2, -1, 0, 1, 2, 3), 10)
+
+
+def _int_error(text):
+    return f"invalid literal for int() with base 10: {text!r}"
+
+
+# Each spec with the (m_values, r_values, nmax) it parses to, or the error it
+# raises; of a spec with several faults, the one reported first.
+GRID_CORPUS = [
+    (None, _DEFAULT_VALUES),
+    ("", _DEFAULT_VALUES),
+    ("  ", _DEFAULT_VALUES),
+    (";", _DEFAULT_VALUES),
+    ("m=1 ;; r=2", ((1,), (2,), 10)),
+    ("m=1\tr=2\nnmax=4", ((1,), (2,), 4)),
+    ("r=1,1,1", ((1, 2, 3), (1,), 10)),
+    (" m=3 ", ((3,), (-2, -1, 0, 1, 2, 3), 10)),
+    ("m=2,1;r=-1..1 nmax=5", ((1, 2), (-1, 0, 1), 5)),
+    ("r=-3..-1", ((1, 2, 3), (-3, -2, -1), 10)),
+    ("m=1..3 r=-2..3 nmax=10", _DEFAULT_VALUES),
+    ("m", (ValueError, "grid token 'm' is not key=values")),
+    ("whatever", (ValueError, "grid token 'whatever' is not key=values")),
+    ("=3", (ValueError, "unknown grid key ''")),
+    ("qmax=3", (ValueError, "unknown grid key 'qmax'")),
+    ("M=1", (ValueError, "unknown grid key 'M'")),
+    ("m=1 r=0 nmax=2 x=1", (ValueError, "unknown grid key 'x'")),
+    ("m=1 m=2 nmax=3", (ValueError, "grid key 'm' given more than once")),
+    ("r=0;r=1", (ValueError, "grid key 'r' given more than once")),
+    ("nmax=3 nmax=4", (ValueError, "grid key 'nmax' given more than once")),
+    ("m=1 m=x", (ValueError, "grid key 'm' given more than once")),
+    ("nmax=1..2", (ValueError, "nmax takes a single value")),
+    ("nmax=1,2 m=x", (ValueError, "nmax takes a single value")),
+    ("nmax=1,2 nmax=3", (ValueError, "nmax takes a single value")),
+    ("m=x nmax=1,2", (ValueError, _int_error("x"))),
+    ("nmax=x nmax=3", (ValueError, _int_error("x"))),
+    ("nmax=1,2,x", (ValueError, _int_error("x"))),
+    ("m=1..2..3", (ValueError, _int_error("2..3"))),
+    ("m=1,,2", (ValueError, _int_error(""))),
+    ("nmax=4,", (ValueError, _int_error(""))),
+    ("m=", (ValueError, _int_error(""))),
+    ("m==1", (ValueError, _int_error("=1"))),
+    ("m=1=2", (ValueError, _int_error("1=2"))),
+    ("m=1.5", (ValueError, _int_error("1.5"))),
+    ("r=0..100000000000000", (ValueError, "range '0..100000000000000' has more than 33554433 values")),
+    ("r=3..1", (ValueError, "grid must have at least one m and one r value")),
+    ("r=-1..-3", (ValueError, "grid must have at least one m and one r value")),
+    ("m=0", (ValueError, "all m values must be >= 1")),
+    ("m=0 nmax=1", (ValueError, "all m values must be >= 1")),
+    ("nmax=1", (ValueError, "nmax must be >= 2")),
+    ("nmax=", (ValueError, _int_error(""))),
+]
+
+
+def _grid_help():
+    """The help text of `audit --grid`."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (action,) = [a for a in sub.choices["audit"]._actions if "--grid" in a.option_strings]
+    return action.help
+
+
 class TestGridParsing:
+    @pytest.mark.parametrize("spec, expected", GRID_CORPUS, ids=repr)
+    def test_corpus(self, spec, expected, capsys):
+        if isinstance(expected[0], type):
+            kind, message = expected
+            with pytest.raises(kind) as info:
+                parse_grid(spec)
+            assert str(info.value) == message
+            assert run_cli(["audit", "--grid", spec, "--quiet"]) == 2
+            assert capsys.readouterr().err == f"qwhitney: error: bad --grid: {message}\n"
+        else:
+            grid = parse_grid(spec)
+            assert (grid.m_values, grid.r_values, grid.nmax) == expected
+
+    def test_param_grid_defaults_are_the_default_grid(self):
+        assert audit.ParamGrid() == audit.DEFAULT_GRID
+
+    def test_help_states_the_default_grid(self):
+        # The help text keeps its own copy of the defaults, so that building
+        # the parser need not import the audit; it must state the same grid.
+        stated = re.search(r"\(defaults: (.*)\)", _grid_help()).group(1)
+        assert parse_grid(stated.replace(", ", " ")) == audit.DEFAULT_GRID
+
     def test_defaults(self):
         grid = parse_grid(None)
         assert grid.m_values == (1, 2, 3)
