@@ -39,10 +39,11 @@ from qwhitney.formulas import (
     whitney_from_lah,
 )
 from qwhitney.cli import main as cli_main
+import pins
 
 GRID = [Params(m, r) for m in (1, 2, 3) for r in range(-2, 4)]
 # sha256 of `qwhitney audit --json` over the default grid.
-AUDIT_JSON_SHA256 = "2df583ded9d014aa1bb48a51ff053cd02b78f992792cabe65e7fd02ee067b55d"
+AUDIT_JSON_SHA256 = pins.DIGESTS["audit"]
 # sha256 of `qwhitney audit --grid "m=1..3 r=-3..4 nmax=7" --json`: 840 results,
 # 210 of them fails spread over all 9 erratum checks, with counterexamples at
 # r = -3 and 4, which the default grid does not reach.

@@ -35,8 +35,17 @@ from qwhitney.audit import (
 from qwhitney.cli import main
 from qwhitney.formulas import Variant
 from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, dowling, get_triangle
+import pins
 
 FAST_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
+
+
+@pytest.fixture(autouse=True)
+def _clear_explicit_verdicts():
+    """Drop the C06/C20 verdicts a test leaves, so no later test reads them."""
+    yield
+    audit._check_w_explicit.cache_clear()
+    audit._check_lah_explicit.cache_clear()
 
 
 def _bracket_one_up(monkeypatch, family):
@@ -325,7 +334,6 @@ class TestRunCheck:
         # clears the kept verdict itself, with no extra call.
         fn, p = REGISTRY["C20_LAH_EXPLICIT"].fn, Params(2, 1)
         clear_registry()
-        fn.cache_clear()  # drop a verdict an earlier test kept
         assert fn(Variant.VERBATIM, p, 6) is None
         _bracket_one_up(monkeypatch, FamilyId.LAH)
         try:
@@ -336,7 +344,6 @@ class TestRunCheck:
                 found = {res.check: res.counterexample for res in run_all(ParamGrid((2,), (1,), 6), checks).results}
         finally:
             clear_registry()
-            fn.cache_clear()
         assert {cid: (ce.n, ce.k) for cid, ce in found.items()} == dict.fromkeys(checks, (1, 0))
 
     def test_explicit_verdicts_shared_under_per_id_wrappers(self, monkeypatch):
@@ -468,8 +475,8 @@ class TestWorkers:
             assert (cause is not None and "_run_point" in str(cause)) is pooled
         assert reports[0] == reports[1]
 
-    # sha256 of `qwhitney table --family lah --m 3 --r 3 --nmax 40`, as CI pins it.
-    LAH_40 = "c0f0cb460f2620e64de0af860943add39db75b39528fbbb0627ea1a7eafcf3d2"
+    # sha256 of `qwhitney table --family lah --m 3 --r 3 --nmax 40`.
+    LAH_40 = pins.DIGESTS["lah40"]
 
     def test_no_fork_runs_in_process(self, monkeypatch, tmp_path):
         # Where `os` has no `fork`, two usable CPUs count as one: the audit and

@@ -25,6 +25,7 @@ from qwhitney import audit, cli
 from qwhitney.cli import main, parse_grid
 from qwhitney.qalg import LaurentPoly
 from qwhitney.triangles import FamilyId, Params, get_triangle
+import pins
 
 
 def run_cli(args):
@@ -311,12 +312,8 @@ print(codes, before, len(os.listdir("/proc/self/fd")), file=sys.stderr)
         assert hashlib.sha256(target.read_bytes()).hexdigest() == self.DIGESTS[fmt]
 
     # sha256 of `qwhitney table --family lah --m 3 --r 3 --nmax 24 --format FMT`:
-    # long cells with exponents past 1,024, as CI pins them.
-    LARGE_DIGESTS = {
-        "json": "5801543d619277049ba3e466ce78515e048576140b52b6387bb654f5ecf0c3f1",
-        "latex": "06a5410e94cc2428bf29748a7551f4b394a9be7fb7b43f595b8a8354104a9b8d",
-        "csv": "9f9be03315d63e7a6a21df760de8fa55dcbbe0bf82e022e5c07542ba129fcac0",
-    }
+    # long cells with exponents past 1,024.
+    LARGE_DIGESTS = {fmt: pins.DIGESTS[f"t24.{fmt}"] for fmt in ("json", "latex", "csv")}
 
     @pytest.mark.parametrize("fmt", list(LARGE_DIGESTS))
     def test_large_table_bytes_unchanged(self, fmt, capsys):
@@ -326,11 +323,11 @@ print(codes, before, len(os.listdir("/proc/self/fd")), file=sys.stderr)
 
     # sha256 of tables that take both paths of the fill step: lah (2, -3) has
     # negative brackets, zero entries and negative coefficients; w1 is not
-    # palindromic; lah (1, -1) as LaTeX.  As CI pins them.
+    # palindromic; lah (1, -1) as LaTeX.
     STEP_DIGESTS = {
-        ("lah", "2", "-3", "24", "text"): "d9920d8260e6c684e77e3f3fed53fe1967ecd7772d82c5b25f042c232781363a",
-        ("w1", "2", "3", "24", "text"): "1345dd8f08c26f75f9ad531a8b533133d571c3061ec3a5736d0ab211b0e7c9bf",
-        ("lah", "1", "-1", "30", "latex"): "9cbcb12093e9a08827c6ffc05b8297745c890b9a505e91656978a862f12b6fbe",
+        ("lah", "2", "-3", "24", "text"): pins.DIGESTS["step1"],
+        ("w1", "2", "3", "24", "text"): pins.DIGESTS["step2"],
+        ("lah", "1", "-1", "30", "latex"): pins.DIGESTS["step3"],
     }
 
     @pytest.mark.parametrize("family, m, r, nmax, fmt", list(STEP_DIGESTS))
@@ -498,11 +495,8 @@ cli._writer = _writer
         assert proc.returncode == 0 and _left(proc) == []
         assert stderr == b""
 
-    # sha256 of the text each writes, as CI pins it.
-    ONE_PROCESS = {
-        "dowling": "410da3d75cca4093d8ea76a236fdc4bf1da6a0c2bc41b2902acd53578a75244a",
-        "expand": "191cf19f59991373fc9d6d894121d848d2a3758b4ea5a5a26c896ce762f610e2",
-    }
+    # sha256 of the text each writes.
+    ONE_PROCESS = {"dowling": pins.DIGESTS["dowling40.text"], "expand": pins.DIGESTS["expand60.text"]}
 
     def test_dowling_and_expand_write_in_one_process(self, tmp_path):
         # Two usable CPUs and a fork that raises: a table forks and fails,
