@@ -13,8 +13,9 @@ do not make a report unclean.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial, wraps
 from itertools import chain
 from math import comb, factorial
 from typing import Callable, Iterable
@@ -160,6 +161,25 @@ def _delta(n: int, j: int) -> LaurentPoly:
     return ONE if n == j else ZERO
 
 
+# The paper reads one q-difference sum three ways, so C07 runs the C06 check
+# and C21, C22 the C20 one.  _run_point gives each of its calls one dict of
+# verdicts, so each sum is judged once per point; no verdict outlives it.
+_point_verdicts: ContextVar[dict[tuple[CheckFn, Variant], Counterexample | None]] = ContextVar("point_verdicts")
+
+
+def _once_per_point(fn: CheckFn) -> CheckFn:
+    """fn, judging each variant once per _run_point call; a call outside one always judges."""
+
+    @wraps(fn)
+    def once(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
+        verdicts = _point_verdicts.get({})
+        if (fn, variant) not in verdicts:
+            verdicts[fn, variant] = fn(variant, p, nmax)
+        return verdicts[fn, variant]
+
+    return once
+
+
 # -- check functions ------------------------------------------------------
 # Convention: a counterexample's lhs is the value asserted by the statement
 # under test, rhs is the reference value from the canonical triangle.
@@ -228,11 +248,7 @@ def _check_w_horizontal(variant: Variant, p: Params, nmax: int) -> Counterexampl
     )
 
 
-# C07 reports the C06 verdict and C21, C22 the C20 one, so each explicit
-# sum is checked once per grid point: _run_point empties both memos before
-# its first check, so no verdict outlives its point.  For a call from
-# outside _run_point, see the note above REGISTRY.
-@cache
+@_once_per_point
 def _check_w_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
         _triangle(range(nmax + 1)),
@@ -356,7 +372,7 @@ def _check_lah_column_zero(variant: Variant, p: Params, nmax: int) -> Counterexa
     )
 
 
-@cache
+@_once_per_point
 def _check_lah_explicit(variant: Variant, p: Params, nmax: int) -> Counterexample | None:
     return _first_mismatch(
         _triangle(range(nmax + 1)),
@@ -461,9 +477,6 @@ def _check_classical_limits(variant: Variant, p: Params, nmax: int) -> Counterex
 _BOTH = (Variant.VERBATIM, Variant.CORRECTED)
 _SINGLE = (Variant.VERBATIM,)
 
-# C06, C07, C20, C21 and C22 keep their verdicts until _run_point clears
-# them.  A caller outside run_all that calls a check's fn after
-# clear_registry() must call that fn's cache_clear() first.
 REGISTRY: dict[str, CheckDef] = {
     c.id: c
     for c in [
@@ -499,16 +512,18 @@ REGISTRY: dict[str, CheckDef] = {
 
 def _run_point(ids: list[str], nmax: int, params: Params) -> list[CheckResult]:
     """Every variant of each named check at one grid point, in (check, variant) order."""
-    _check_w_explicit.cache_clear()
-    _check_lah_explicit.cache_clear()
-    results = []
-    for check_id in ids:
-        check = REGISTRY[check_id]
-        for variant in check.variants:
-            ce = check.fn(variant, params, nmax)
-            status = "pass" if ce is None else "fail"
-            results.append(CheckResult(check_id, variant, params.m, params.r, status, ce))
-    return results
+    token = _point_verdicts.set({})
+    try:
+        results = []
+        for check_id in ids:
+            check = REGISTRY[check_id]
+            for variant in check.variants:
+                ce = check.fn(variant, params, nmax)
+                status = "pass" if ce is None else "fail"
+                results.append(CheckResult(check_id, variant, params.m, params.r, status, ce))
+        return results
+    finally:
+        _point_verdicts.reset(token)
 
 
 class AuditReport:

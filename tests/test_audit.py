@@ -1,13 +1,12 @@
 """Tests for the identity registry, grid runner and report assembly."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
-import json
 import multiprocessing
 import os
 import re
-import shutil
 import signal
 import subprocess
 import sys
@@ -38,14 +37,6 @@ from qwhitney.triangles import FamilyId, Params, _WEIGHTS, clear_registry, dowli
 import pins
 
 FAST_GRID = ParamGrid((1, 2, 3), tuple(range(-2, 4)), 6)
-
-
-@pytest.fixture(autouse=True)
-def _clear_explicit_verdicts():
-    """Drop the C06/C20 verdicts a test leaves, so no later test reads them."""
-    yield
-    audit._check_w_explicit.cache_clear()
-    audit._check_lah_explicit.cache_clear()
 
 
 def _bracket_one_up(monkeypatch, family):
@@ -329,16 +320,14 @@ class TestRunCheck:
         [("direct", ["C20_LAH_EXPLICIT"]), ("run_all", ["C20_LAH_EXPLICIT", "C22_LAH_EGF"])],
     )
     def test_explicit_verdict_after_clear_registry(self, monkeypatch, route, checks):
-        # The recipe for a caller outside run_all: after clear_registry(),
-        # a direct call of the C20 fn follows its cache_clear(); run_all
-        # clears the kept verdict itself, with no extra call.
+        # No verdict outlives its call: after clear_registry(), a direct
+        # call of the C20 fn and a run_all both judge the refilled triangle.
         fn, p = REGISTRY["C20_LAH_EXPLICIT"].fn, Params(2, 1)
         clear_registry()
         assert fn(Variant.VERBATIM, p, 6) is None
         _bracket_one_up(monkeypatch, FamilyId.LAH)
         try:
             if route == "direct":
-                fn.cache_clear()
                 found = {"C20_LAH_EXPLICIT": fn(Variant.VERBATIM, p, 6)}
             else:
                 found = {res.check: res.counterexample for res in run_all(ParamGrid((2,), (1,), 6), checks).results}
@@ -347,14 +336,16 @@ class TestRunCheck:
         assert {cid: (ce.n, ce.k) for cid, ce in found.items()} == dict.fromkeys(checks, (1, 0))
 
     def test_explicit_verdicts_shared_under_per_id_wrappers(self, monkeypatch):
-        # A tracer wraps each check id's function on its own, as
-        # perfbench/tracer.py does; C07 must still reach the memoised C06
-        # check and C21, C22 the C20 one, so each evaluator runs once per cell.
+        # A tracer wraps each check id's function on its own with
+        # functools.wraps, as perfbench/tracer.py does; every wrapper is
+        # called, and C07 still reports the C06 verdict and C21, C22 the C20
+        # one, so each evaluator runs once per cell and point.
         ids = ["C06_W_EXPLICIT", "C07_W_EGF", "C20_LAH_EXPLICIT", "C21_LAH_NEWTON", "C22_LAH_EGF"]
         fns = [REGISTRY[cid].fn for cid in ids]
         calls = Counter()
 
         def counted(name, fn):
+            @functools.wraps(fn)
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
@@ -370,7 +361,21 @@ class TestRunCheck:
             assert [res.status for res in results] == ["pass"] * 5
             assert calls == {**dict.fromkeys(ids, run), "whitney2_explicit": 45 * run, "lah_explicit": 45 * run}
         assert fns[0] is fns[1] and fns[2] is fns[3] is fns[4]
-        assert hasattr(fns[0], "cache_clear") and hasattr(fns[2], "cache_clear")
+
+    def test_audit_keeps_no_memo(self):
+        # It defines no memo (those it imports hold no verdict): verdicts are
+        # shared only within one _run_point call.
+        own = [name for name, obj in vars(audit).items() if hasattr(obj, "cache_clear") and obj.__module__ == audit.__name__]
+        assert own == []
+
+    def test_no_verdict_outlives_a_raising_point(self, monkeypatch):
+        def raising(*args):
+            raise RuntimeError("check failed to run")
+
+        monkeypatch.setitem(REGISTRY, "C26_CLASSICAL_LIMITS", dataclasses.replace(REGISTRY["C26_CLASSICAL_LIMITS"], fn=raising))
+        with pytest.raises(RuntimeError):
+            audit._run_point(["C20_LAH_EXPLICIT", "C26_CLASSICAL_LIMITS"], 6, Params(2, 1))
+        assert audit._point_verdicts.get(None) is None
 
     @pytest.mark.parametrize(
         "family, check_id, lhs, rhs",
@@ -657,41 +662,6 @@ def test_fault_sweep(clean_sweep_run, family, cell, fault):
     assert changed == expected
     assert all(results[key].status == "fail" for key in changed)
     assert len({check for check, _ in changed}) >= 2
-
-
-# -- kernel mutant ---------------------------------------------------------
-# A fault in the kernel itself, in a copy of the package: `abs(b)` in
-# `lp_add_bracket`'s centre test changes, for m 1..3, r -3..3 and n <= 16,
-# only w1-rising at (2, -3), a point below the default grid's r = -2.  The
-# matrix routes through it (C14, C15 and C16 corrected) fail at (2, 0).
-
-MUTANT_CHECKS = ["C14_LAH_COMPOSITION", "C15_W_FROM_LAH", "C16_DOWLING_QI"]
-
-
-@pytest.mark.parametrize("mutated", [False, True], ids=["unmutated", "abs-b"])
-def test_kernel_mutant_abs_b(tmp_path, mutated):
-    package = tmp_path / "qwhitney"
-    shutil.copytree(Path(qwhitney.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
-    if mutated:
-        text = (package / "qalg.py").read_text()
-        assert text.count("+ b - 1)") == 1
-        (package / "qalg.py").write_text(text.replace("+ b - 1)", "+ abs(b) - 1)"))
-    checks = [arg for check in MUTANT_CHECKS for arg in ("--check", check)]
-    argv = ["audit", "--grid", "m=2 r=-3 nmax=16", *checks, "--quiet", "--json", "report.json"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qwhitney.cli", *argv],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, timeout=120,
-    )
-    assert proc.returncode == (1 if mutated else 0), proc.stderr.decode()
-    report = json.loads((tmp_path / "report.json").read_text())
-    corrected = {res["id"]: res for res in report["checks"] if res["variant"] == "corrected"}
-    assert sorted(corrected) == MUTANT_CHECKS
-    for res in corrected.values():
-        if mutated:
-            assert res["status"] == "fail" and (res["counterexample"]["n"], res["counterexample"]["k"]) == (2, 0)
-        else:
-            assert res["status"] == "pass"
-
 
 
 # -- route ledger ----------------------------------------------------------

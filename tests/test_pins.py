@@ -1,8 +1,13 @@
 """Tests for the equivalence gate's replay, tests/pins.py."""
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pins
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # The pins that replay in about 5 s on 2 vCPUs, each in every way it is pinned.
 QUICK = ("audit", "lah40", "t24.json", "t24.latex", "t24.csv", "tq.text", "tq.csv", "step1", "step2", "step3")
@@ -10,6 +15,21 @@ QUICK = ("audit", "lah40", "t24.json", "t24.latex", "t24.csv", "tq.text", "tq.cs
 
 def test_names_are_unique():
     assert len(pins.DIGESTS) == len(pins.PINS)
+
+
+def test_benchmark_digests_are_the_pins(monkeypatch):
+    # The benchmark checks each output against its own copy of a pinned
+    # digest; a pin changed in one place only must fail here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports oracles.py
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written under perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    pinned = {"audit-grid": "audit", "audit-deep": "audit-deep", "table-lah": "lah40"}
+    assert {name: w.digest for name, w in run.WORKLOADS.items()} == {
+        name: pins.DIGESTS[pin] for name, pin in pinned.items()
+    }
 
 
 def test_quick_pins_replay():
