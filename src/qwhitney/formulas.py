@@ -173,6 +173,8 @@ def lah_horizontal(params: Params, n: int, k: int) -> LaurentPoly:
 
 def whitney2_rational_gf(params: Params, k: int, order: int) -> TruncSeries:
     """Column generating series: coefficient of u^n is the entry at (n, k)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if order < k:
         raise ValueError(f"order must be >= k, got order={order}, k={k}")
     m, r = params.m, params.r

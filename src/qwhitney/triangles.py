@@ -3,10 +3,12 @@
 Six related families are produced over a common parameter pair (m, r):
 three forms of the second-kind triangle, two first-kind triangles (falling
 and rising basis), and the Lah-type triangle.  They differ only in their
-row of the weight table `_WEIGHTS`.  Entries are exact Laurent
-polynomials.  One lazily filled matrix, `Triangle`, is filled row-major on
-demand and never recomputes an entry; a subclass, such as the inverse
-`InverseMatrix`, supplies only its row rule.
+row of the weight table `_WEIGHTS`, and every row of every family comes from
+one pure step, `next_row`: row n from row n - 1 by the family's weights.
+Entries are exact Laurent polynomials.  One lazily filled matrix, `Triangle`,
+stores the rows: it is filled row-major on demand and never recomputes an
+entry; a subclass, such as the inverse `InverseMatrix`, supplies only its
+row rule.
 
 Every entry is read through the shared triangle: bind
 `get_triangle(family, params).value` once, then call it with (n, k); an
@@ -18,7 +20,7 @@ from __future__ import annotations
 import os
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .qalg import LaurentPoly, ONE, ZERO, _is_int, lp_add_bracket, lp_dot, q_power
 
@@ -97,6 +99,8 @@ class Triangle:
     params); a subclass supplies only its row rule, `_next_row`."""
 
     def __init__(self, family: FamilyId, params: Params):
+        if not isinstance(family, FamilyId):
+            raise ValueError(f"family must be a FamilyId, got {family!r}")
         self.family = family
         self.params = params
         self._rows: list[list[LaurentPoly]] = [[ONE]]
@@ -124,15 +128,7 @@ class Triangle:
             self._rows.append(self._next_row(len(self._rows)))
 
     def _next_row(self, n: int) -> list[LaurentPoly]:
-        m, r = self.params.m, self.params.r
-        prev = self._rows[n - 1]
-        weights = _WEIGHTS[self.family]
-        row = []
-        for k in range(n + 1):
-            a, b = weights(m, r, n, k)
-            entry = q_power(a) * prev[k - 1] if k else ZERO
-            row.append(lp_add_bracket(entry, prev[k], b) if k < n else entry)
-        return row
+        return next_row(self.family, self.params, self._rows[n - 1], n)
 
 
 # Every family obeys T[n,k] = q^a T[n-1,k-1] + [b] T[n-1,k] from the seed
@@ -153,6 +149,20 @@ _WEIGHTS: dict[FamilyId, Callable[[int, int, int, int], tuple[int, int]]] = {
         2 * r + k * m + (n - 1) * m,
     ),
 }
+
+
+def next_row(family: FamilyId, params: Params, prev: Sequence[LaurentPoly], n: int) -> list[LaurentPoly]:
+    """Row n of `family` at `params` from its row n - 1, `prev`, by the
+    family's weights: the one step every row of every family comes from.  It
+    reads no registry, stores nothing and leaves `prev` as it is."""
+    m, r = params.m, params.r
+    weights = _WEIGHTS[family]
+    row = []
+    for k in range(n + 1):
+        a, b = weights(m, r, n, k)
+        entry = q_power(a) * prev[k - 1] if k else ZERO
+        row.append(lp_add_bracket(entry, prev[k], b) if k < n else entry)
+    return row
 
 
 _TRIANGLES: dict[tuple[FamilyId, int, int], Triangle] = {}
@@ -182,7 +192,7 @@ def _row_sum(family: FamilyId, params: Params, n: int) -> LaurentPoly:
 
 def dowling(params: Params, form: int, n: int) -> LaurentPoly:
     """Row sum of the requested second-kind form (form in {1, 2, 3})."""
-    family = _DOWLING_FAMILY.get(form)
+    family = _DOWLING_FAMILY.get(form) if _is_int(form) else None
     if family is None:
         raise ValueError(f"form must be 1, 2 or 3, got {form!r}")
     return _row_sum(family, params, n)

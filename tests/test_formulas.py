@@ -130,6 +130,10 @@ class TestWhitney2Paths:
         with pytest.raises(ValueError):
             whitney2_rational_gf(P10, 3, 2)
 
+    def test_rational_gf_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            whitney2_rational_gf(P10, -1, 3)
+
     def test_all_paths_agree_on_grid(self):
         for p in GRID:
             w2 = get_triangle(FamilyId.W2, p).value

@@ -18,11 +18,13 @@ from qwhitney.triangles import (
     NonUnitDiagonalError,
     Params,
     Triangle,
+    _TRIANGLES,
     _WEIGHTS,
     clear_registry,
     dowling,
     get_triangle,
     lah_row_sum,
+    next_row,
 )
 from qwhitney.upoly import UPoly, falling_factorial_u, rising_factorial_u
 
@@ -287,6 +289,13 @@ class TestFillStep:
     def test_every_family_is_one_weight_row(self):
         assert set(FamilyId) == set(_WEIGHTS)
 
+    def test_family_must_be_a_family_id(self):
+        # A triangle keyed by the name "lah" would fill nothing past row 0.
+        clear_registry()
+        with pytest.raises(ValueError, match="family must be a FamilyId, got 'lah'"):
+            get_triangle("lah", P10)
+        assert not _TRIANGLES
+
     @pytest.mark.parametrize("family", list(_WEIGHTS))
     def test_matches_products_of_the_previous_row(self, family):
         weights = _WEIGHTS[family]
@@ -295,6 +304,7 @@ class TestFillStep:
                 tri = Triangle(family, Params(m, r))
                 for n in range(1, 15):
                     prev, row = tri.row(n - 1), tri.row(n)
+                    assert tuple(next_row(family, Params(m, r), prev, n)) == row
                     for k in range(n + 1):
                         a, b = weights(m, r, n, k)
                         left = q_power(a) * prev[k - 1] if k else ZERO
@@ -344,6 +354,28 @@ class TestFillStep:
                             got = sum(c * power(e) for e, c in value(n, k).terms().items()) % P
                             assert got == row[k], (name, m, r, n, k)
 
+    def test_next_row_is_pure(self):
+        # Rows iterated from the seed row alone: the step stores no triangle,
+        # changes no previous row, and gives the registry's rows.
+        clear_registry()
+        rows = {}
+        for family in FamilyId:
+            for m in (1, 2, 3):
+                for r in range(-3, 4):
+                    params = Params(m, r)
+                    prev = [ONE]
+                    rows[family, params] = [prev]
+                    for n in range(1, 13):
+                        before = tuple(prev)
+                        row = next_row(family, params, prev, n)
+                        assert len(prev) == len(before) and all(x is y for x, y in zip(prev, before))
+                        rows[family, params].append(row)
+                        prev = row
+        assert not _TRIANGLES
+        for (family, params), filled in rows.items():
+            tri = get_triangle(family, params)
+            assert [list(tri.row(n)) for n in range(13)] == filled, (family, params)
+
     @pytest.mark.parametrize("params", SMALL_GRID)
     def test_lah_entries_are_palindromes(self, params):
         # The shortcut's premise, and its effect: each nonzero entry reads the
@@ -369,8 +401,10 @@ class TestRowSums:
             assert dowling(P10, 1, n).eval_at(1) == b
 
     def test_dowling_rejects_bad_form(self):
-        with pytest.raises(ValueError):
-            dowling(P10, 4, 2)
+        # True and 1.0 equal 1 and hash alike, but are not forms.
+        for form in (4, True, 1.0):
+            with pytest.raises(ValueError, match="form must be 1, 2 or 3"):
+                dowling(P10, form, 2)
 
     def test_lah_row_sums(self):
         assert lah_row_sum(P10, 1) == ONE
