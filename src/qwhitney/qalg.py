@@ -413,6 +413,9 @@ def q_binomial_base(k: int, j: int, m: int) -> LaurentPoly:
     Computed by the q-Pascal recurrence C[k,j] = C[k-1,j-1] + q^(m j) C[k-1,j];
     zero outside 0 <= j <= k.
     """
+    for name, x in (("k", k), ("j", j), ("m", m)):
+        if not _is_int(x):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     if m < 1:
         raise ValueError(f"base exponent m must be >= 1, got {m}")
     if k < 0:

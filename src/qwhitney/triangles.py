@@ -170,6 +170,8 @@ _TRIANGLES: dict[tuple[FamilyId, int, int], Triangle] = {}
 
 def get_triangle(family: FamilyId, params: Params) -> Triangle:
     """The process-wide shared triangle for (family, params)."""
+    if not isinstance(params, Params):
+        raise ValueError(f"params must be a Params, got {params!r}")
     key = (family, params.m, params.r)
     tri = _TRIANGLES.get(key)
     if tri is None:

@@ -46,7 +46,8 @@ PINS = (
     Pin("audit-n22", "04def63eca3e8349a9982f839a5fcf21be210f68b20e1271726948198c24f180", "audit --grid nmax=22 --quiet"),
     Pin("audit-inv", "03bb828c786685a846b0281f850d930ba2acd9d57625de10e2f72eed4b6fb805", f"audit --grid 'm=1,2,3 r=-3..3 nmax=12' {INVERSE} --quiet", POOLED_AND_ONE_CPU),
     # Tables: lah (3,3) to row 40 (45 MB) by two processes and by one; to row
-    # 24 as streamed formats and at q = -1/3; both paths of the fill step.
+    # 24 as streamed formats and at q = -1/3; both paths of the fill step,
+    # the 31-row one by two processes and by one.
     Pin("lah40", "c0f0cb460f2620e64de0af860943add39db75b39528fbbb0627ea1a7eafcf3d2", f"{LAH33} --nmax 40", ("file", "pipe", "one-cpu")),
     Pin("t24.json", "5801543d619277049ba3e466ce78515e048576140b52b6387bb654f5ecf0c3f1", f"{LAH33} --nmax 24 --format json"),
     Pin("t24.latex", "06a5410e94cc2428bf29748a7551f4b394a9be7fb7b43f595b8a8354104a9b8d", f"{LAH33} --nmax 24 --format latex"),
@@ -55,7 +56,7 @@ PINS = (
     Pin("tq.csv", "2798e2982537e71a2f9b7e61ae462bb59fdeb063b2efc0360ebedeeeb22c1a99", f"{LAH33} --nmax 24 --q=-1/3 --format csv"),
     Pin("step1", "d9920d8260e6c684e77e3f3fed53fe1967ecd7772d82c5b25f042c232781363a", "table --family lah --m 2 --r -3 --nmax 24"),
     Pin("step2", "1345dd8f08c26f75f9ad531a8b533133d571c3061ec3a5736d0ab211b0e7c9bf", "table --family w1 --m 2 --r 3 --nmax 24"),
-    Pin("step3", "9cbcb12093e9a08827c6ffc05b8297745c890b9a505e91656978a862f12b6fbe", "table --family lah --m 1 --r -1 --nmax 30 --format latex"),
+    Pin("step3", "9cbcb12093e9a08827c6ffc05b8297745c890b9a505e91656978a862f12b6fbe", "table --family lah --m 1 --r -1 --nmax 30 --format latex", POOLED_AND_ONE_CPU),
     # The one-process commands at a length where a table would fork; expand at
     # a high column, a long order and sparse denominators (one factor, r < 0).
     Pin("dowling40.text", "410da3d75cca4093d8ea76a236fdc4bf1da6a0c2bc41b2902acd53578a75244a", "dowling --form 1 --m 3 --r 3 --nmax 40 --format text"),

@@ -21,6 +21,7 @@ import pytest
 
 import pins
 import qwhitney
+from qwhitney.audit import REGISTRY
 
 MUTANT_CHECKS = ["C14_LAH_COMPOSITION", "C15_W_FROM_LAH", "C16_DOWLING_QI"]
 INVERSE_ROUTES = [
@@ -28,6 +29,8 @@ INVERSE_ROUTES = [
     "--quiet", "--json", "report.json",
 ]
 DEFAULT_AUDIT = ["audit", "--quiet", "--json", "report.json"]
+# Every corrected verdict of the default audit passes unmutated.
+DEFAULT_CORRECTED = dict.fromkeys((cid for cid, check in REGISTRY.items() if len(check.variants) == 2), ("pass", None))
 # One point of the default grid, where every corrected verdict passes unmutated.
 ROW_STEP_CHECKS = ["C03_W_RECURRENCE_SIGN", "C14_LAH_COMPOSITION", "C19_LAH_COLUMN_ZERO", "C24_W1_BOUNDARY"]
 ROW_STEP = [
@@ -55,6 +58,22 @@ MUTANTS = [
         "row-index", "triangles.py", "weights(m, r, n, k)", "weights(m, r, n - 1, k)", ROW_STEP,
         (1, {"C03_W_RECURRENCE_SIGN": ("pass", None), "C14_LAH_COMPOSITION": ("pass", None),
              "C19_LAH_COLUMN_ZERO": ("fail", (1, 0)), "C24_W1_BOUNDARY": ("fail", (1, 0))}),
+    ),
+    # Horner's rule in `eval_at` takes powers of the numerator p for those of
+    # the denominator d: the default audit keeps its bytes, since its only
+    # evaluation is C26's at q = 1, where p = d.  The `tq.text` pin changes.
+    # Tier-1 sees it in tests/test_qalg.py::TestEval::test_rational_point,
+    # ::test_homomorphism and ::test_matches_term_by_term_sum, and in the
+    # CLI's `--q` digests.
+    ("horner", "qalg.py", "dk *= d", "dk *= p", DEFAULT_AUDIT, (0, pins.DIGESTS["audit"])),
+    # A cross-block suffix one exponent late in `_render`: every verdict is
+    # unchanged, but the report's bytes change, since a counterexample that
+    # spans exponent 0 crosses from block -1 to block 0.  The `audit` quick
+    # pin (tests/test_pins.py::test_quick_pins_replay) and four tests of
+    # tests/test_qalg.py::TestRendering catch it.
+    (
+        "suffix-shift", "qalg.py", "islice(chain.from_iterable(blocks), lo, lo + n)",
+        "islice(chain.from_iterable(blocks), lo + 1, lo + n + 1)", DEFAULT_AUDIT, (0, DEFAULT_CORRECTED),
     ),
 ]
 

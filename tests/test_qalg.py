@@ -530,6 +530,11 @@ class TestFactorialAndBinomial:
         assert q_binomial_base(3, 4, 1) == ZERO
         with pytest.raises(ValueError):
             q_binomial_base(3, 1, 0)
+        # 2.5, which no int equals: the cache keys 3.0 as 3, so a call with
+        # 3.0 may return the int's result without running the check.
+        for args, name in (((2.5, 1, 1), "k"), ((3, 2.5, 1), "j"), ((3, 1, 2.5), "m")):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.5$"):
+                q_binomial_base(*args)
 
     def test_binomial_symmetry(self):
         for m in (1, 2, 3):

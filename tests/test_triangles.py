@@ -290,11 +290,16 @@ class TestFillStep:
         assert set(FamilyId) == set(_WEIGHTS)
 
     def test_family_must_be_a_family_id(self):
-        # A triangle keyed by the name "lah" would fill nothing past row 0.
-        clear_registry()
-        with pytest.raises(ValueError, match="family must be a FamilyId, got 'lah'"):
-            get_triangle("lah", P10)
-        assert not _TRIANGLES
+        # A triangle keyed by the name "lah" would fill nothing past row 0; a
+        # params that is not a Params is refused before the key is made of it.
+        for family, params, message in (
+            ("lah", P10, "family must be a FamilyId, got 'lah'"),
+            (FamilyId.W2, (1, 0), r"params must be a Params, got \(1, 0\)"),
+        ):
+            clear_registry()
+            with pytest.raises(ValueError, match=message):
+                get_triangle(family, params)
+            assert not _TRIANGLES
 
     @pytest.mark.parametrize("family", list(_WEIGHTS))
     def test_matches_products_of_the_previous_row(self, family):
